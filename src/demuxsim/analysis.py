@@ -7,7 +7,7 @@ scaled to rates by the acquisition time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "CoincidenceHistogram",
     "NFoldCounts",
     "histogram",
+    "pair_histograms",
     "count_nfold",
     "eta_sd_from_singles",
     "g2_ratio",
@@ -75,34 +76,114 @@ def histogram(
     differ; a same-channel request needs an autocorrelator, not a pair
     histogram.
     """
-    if channel_a == channel_b:
-        raise DomainError("channel_a and channel_b must differ")
-    if max_delay_bins < 0:
-        raise DomainError(f"max_delay_bins must be >= 0, got {max_delay_bins!r}")
     period_s = stream.meta.pulse_period_ps * 1e-12
-    if bin_width_s is None:
-        bin_width_s = period_s
-    if not math.isclose(bin_width_s, period_s, rel_tol=1e-9):
+    if bin_width_s is not None and not math.isclose(bin_width_s, period_s, rel_tol=1e-9):
         raise ConfigError(
             "bin widths other than the pulse period are not supported; "
             "tags are clocked so fractional bins would alias"
         )
-    pulses = stream.pulse_indices
-    a = np.sort(pulses[stream.channels == channel_a])
-    b = np.sort(pulses[stream.channels == channel_b])
+    (hist,) = pair_histograms(stream, [(channel_a, channel_b)], max_delay_bins)
+    if bin_width_s is None:
+        return hist
+    return replace(hist, bin_width_s=bin_width_s)
+
+
+def pair_histograms(
+    stream: TimeTagStream,
+    pairs: Sequence[tuple[int, int]],
+    max_delay_bins: int,
+) -> list[CoincidenceHistogram]:
+    """Histograms of t_b - t_a over +-max_delay_bins for every (a, b) in pairs.
+
+    Returns one CoincidenceHistogram per pair, in the order given, binned at
+    the pulse period.  All pairs come from one pass over the stream: for each
+    delay d >= 0 one joint count of (channel mask at pulse p, channel mask at
+    pulse p + d) serves every pair, and negative delays are its transpose.
+    Working memory scales with the number of records, not the pulse count.
+    """
+    pairs = [(int(a), int(b)) for a, b in pairs]
+    if max_delay_bins < 0:
+        raise DomainError(f"max_delay_bins must be >= 0, got {max_delay_bins!r}")
+    if any(a == b for a, b in pairs):
+        raise DomainError("channel_a and channel_b must differ")
+    _check_channels(stream, [c for pair in pairs for c in pair])
+    slots, masks = _occupancy(stream, max_delay_bins)
+    width = 8 * masks.shape[0]
+    # counts[d, i, j]: pulses p with channel i + 1 at p and channel j + 1 at p + d
+    counts = np.zeros((max_delay_bins + 1, width, width), dtype=np.int64)
+    words = {((a - 1) >> 3, (b - 1) >> 3) for a, b in pairs}
+    words |= {(wb, wa) for wa, wb in words}
+    keys = np.empty(slots.size, dtype=np.intp)
+    for wa in sorted({wa for wa, _ in words}):
+        first = masks[wa].take(slots)
+        fired = first != 0
+        at = slots[fired]
+        high = first[fired].astype(np.uint16) << np.uint16(8)
+        key = keys[: at.size]
+        for wb in sorted(wb for w, wb in words if w == wa):
+            for d in range(max_delay_bins + 1):
+                np.bitwise_or(high, masks[wb, d:].take(at), out=key)
+                joint = np.bincount(key, minlength=1 << 16).reshape(256, 256)
+                counts[d, 8 * wa : 8 * wa + 8, 8 * wb : 8 * wb + 8] = _BITS.T @ joint @ _BITS
     delays = np.arange(-max_delay_bins, max_delay_bins + 1, dtype=np.int64)
-    counts = np.zeros(delays.size, dtype=np.int64)
-    if len(a) and len(b):
-        for i, d in enumerate(delays):
-            # one record per (pulse, channel), so matching is set intersection
-            counts[i] = np.isin(a + d, b, assume_unique=True).sum()
-    return CoincidenceHistogram(
-        channel_a=channel_a,
-        channel_b=channel_b,
-        bin_width_s=bin_width_s,
-        delays=delays,
-        counts=counts,
-    )
+    period_s = stream.meta.pulse_period_ps * 1e-12
+    return [
+        CoincidenceHistogram(
+            channel_a=a,
+            channel_b=b,
+            bin_width_s=period_s,
+            delays=delays,
+            counts=np.concatenate([counts[:0:-1, b - 1, a - 1], counts[:, a - 1, b - 1]]),
+        )
+        for a, b in pairs
+    ]
+
+
+# _BITS[m, k] is bit k of the byte m: it reduces joint counts of channel-mask
+# bytes to counts of channel pairs
+_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.int64)
+
+
+def _check_channels(stream: TimeTagStream, channels: Sequence[int]) -> None:
+    n = stream.meta.n_channels
+    bad = sorted({c for c in channels if not 1 <= c <= n})
+    if bad:
+        raise DomainError(f"channels {bad!r} are outside the stream's 1..{n}")
+
+
+def _occupancy(stream: TimeTagStream, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stream's occupied pulses as slots, and a channel bitmask per slot.
+
+    Every gap between occupied pulses longer than horizon is shortened to
+    horizon + 1, so pulses up to horizon apart keep their separation and
+    farther ones stay farther apart than horizon.  slots[i] is the slot of the
+    i-th occupied pulse.  Bit k of masks[w, s] is set when channel 8*w + k + 1
+    has a record in slot s; horizon empty slots past the last one let every
+    lookup at slot + delay stay in range.  Both arrays are O(records).
+    """
+    pulses = stream.pulse_indices
+    words = -(-stream.meta.n_channels // 8)
+    if pulses.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros((words, horizon + 1), dtype=np.uint8)
+    new = np.empty(pulses.size, dtype=bool)
+    new[0] = True
+    np.not_equal(pulses[1:], pulses[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    slots = pulses[starts]
+    del new, pulses  # the largest temporaries; peak memory matters on bright runs
+    gaps = np.diff(slots)
+    np.minimum(gaps, horizon + 1, out=gaps)
+    slots[0] = 0
+    np.cumsum(gaps, out=slots[1:])
+    del gaps
+    masks = np.zeros((words, int(slots[-1]) + 1 + horizon), dtype=np.uint8)
+    index = stream.channels - np.uint32(1)
+    bits = np.left_shift(np.uint8(1), (index & np.uint32(7)).astype(np.uint8))
+    word = index >> np.uint32(3)
+    for w in range(words):
+        # records of one pulse are adjacent and name distinct channels
+        masks[w, slots] = np.bitwise_or.reduceat(np.where(word == w, bits, np.uint8(0)), starts)
+    return slots, masks
 
 
 def g2_ratio(hist: CoincidenceHistogram, period_bins: int, n_peaks: int = 3):
@@ -184,14 +265,15 @@ def count_nfold(
             f"window {window_s:.3e}s is smaller than the schedule span "
             f"{span * period_s:.3e}s; aligned channels can never coincide"
         )
-    pulses = stream.pulse_indices
-    aligned = None
+    _check_channels(stream, channels)
+    lead = min(schedule_delays)
+    # candidates are occupied slots, read as the pulse of the channel scheduled
+    # first; an event keeps every channel firing at its offset from that pulse
+    hits, masks = _occupancy(stream, span)
     for ch, d in zip(channels, schedule_delays):
-        slots = np.sort(pulses[stream.channels == ch]) - d
-        aligned = slots if aligned is None else np.intersect1d(aligned, slots, assume_unique=True)
-        if aligned.size == 0:
-            break
-    count = int(aligned.size) if aligned is not None else 0
+        word, bit = divmod(ch - 1, 8)
+        hits = hits[masks[word].take(hits + (d - lead)) & np.uint8(1 << bit) != 0]
+    count = int(hits.size)
     return NFoldCounts(
         n=len(channels),
         channels=channels,
@@ -292,14 +374,15 @@ def _class_areas(hist: CoincidenceHistogram, period: int):
     return areas, n_terms
 
 
-def _model_class_areas(rows: np.ndarray, a: int, b: int, period: int) -> np.ndarray:
-    """Expected relative class areas: sum_b pi_b(a) * pi_(b+m)(b_ch)."""
-    out = np.zeros(period)
-    for m in range(period):
-        out[m] = sum(
-            rows[k, a - 1] * rows[(k + m) % period, b - 1] for k in range(period)
-        )
-    return out
+def _model_class_areas(rows: np.ndarray) -> np.ndarray:
+    """Expected relative class areas of every channel pair.
+
+    out[a, b, m] = sum_k rows[k, a] * rows[(k + m) % period, b]: channel a + 1
+    fed in schedule bin k and channel b + 1 fed m bins later.
+    """
+    k = np.arange(rows.shape[0])
+    later = rows[(k[:, None] + k) % k.size]  # later[m, k] = rows[(k + m) % period]
+    return np.einsum("ka,mkb->abm", rows, later)
 
 
 def estimate_splitting_ratios(
@@ -346,13 +429,14 @@ def estimate_splitting_ratios(
                 k += 1
         return table
 
+    first = np.array([a - 1 for a, _, _, _ in data])
+    second = np.array([b - 1 for _, b, _, _ in data])
+    terms = np.array([n_terms for _, _, _, n_terms in data])
+
     def model(x: np.ndarray) -> np.ndarray:
         rows = routing_by_bin(network, schedule, build_table(x))
-        out = []
-        for i, (a, b, _, n_terms) in enumerate(data):
-            rel = _model_class_areas(rows, a, b, period)
-            out.append(x[n_ratio + i] * rel * n_terms)
-        return np.concatenate(out)
+        rel = _model_class_areas(rows)[first, second]
+        return (x[n_ratio:, None] * rel * terms).ravel()
 
     def residuals(x: np.ndarray) -> np.ndarray:
         return (model(x) - y) / sigma

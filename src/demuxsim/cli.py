@@ -170,9 +170,9 @@ def _pairs_for(args, stream) -> list[tuple[int, int]]:
 def _analyze_histograms(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
     period_s = stream.meta.pulse_period_ps * 1e-12
-    for a, b in _pairs_for(args, stream):
-        hist = analysis.histogram(stream, a, b, max_delay_bins=args.max_delay_bins)
-        path = out_dir / f"hist_{a}_{b}.csv"
+    hists = analysis.pair_histograms(stream, _pairs_for(args, stream), args.max_delay_bins)
+    for hist in hists:
+        path = out_dir / f"hist_{hist.channel_a}_{hist.channel_b}.csv"
         with path.open("w") as fh:
             fh.write("delay_bins,delay_s,counts\n")
             for d, c in zip(hist.delays, hist.counts):
@@ -205,10 +205,7 @@ def _analyze_nfold(rc, streams, args, out_dir: Path) -> int:
 def _analyze_ratios(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
     schedule = _schedule_for_stream(rc, stream)
-    hists = [
-        analysis.histogram(stream, a, b, max_delay_bins=args.max_delay_bins)
-        for a, b in _pairs_for(args, stream)
-    ]
+    hists = analysis.pair_histograms(stream, _pairs_for(args, stream), args.max_delay_bins)
     result = analysis.estimate_splitting_ratios(hists, rc.network, schedule)
     eta_dm, eta_sigma = analysis.eta_dm_from_ratios(result, rc.network, schedule)
     doc = {

@@ -85,15 +85,20 @@ class StreamMeta:
             raise DataError(f"not a {FORMAT_NAME} sidecar: format={doc.get('format')!r}")
         if doc.get("format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported format_version {doc.get('format_version')!r}")
-        return cls(
-            config_digest=doc["config_digest"],
-            pump_rate_hz=float(doc["pump_rate_hz"]),
-            pulse_period_ps=int(doc["pulse_period_ps"]),
-            pulse_count=int(doc["pulse_count"]),
-            n_channels=int(doc["n_channels"]),
-            schedule_period=int(doc["schedule_period"]),
-            schedule_targets=tuple(int(t) for t in doc["schedule_targets"]),
-        )
+        try:
+            return cls(
+                config_digest=doc["config_digest"],
+                pump_rate_hz=float(doc["pump_rate_hz"]),
+                pulse_period_ps=int(doc["pulse_period_ps"]),
+                pulse_count=int(doc["pulse_count"]),
+                n_channels=int(doc["n_channels"]),
+                schedule_period=int(doc["schedule_period"]),
+                schedule_targets=tuple(int(t) for t in doc["schedule_targets"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"sidecar is missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"sidecar field is not a number: {exc}") from None
 
 
 class TimeTagStream:
@@ -104,11 +109,16 @@ class TimeTagStream:
         timestamps_ps = np.asarray(timestamps_ps, dtype=np.uint64)
         if channels.shape != timestamps_ps.shape or channels.ndim != 1:
             raise DataError("channels and timestamps must be 1-d arrays of equal length")
-        if len(timestamps_ps) > 1:
-            dt = np.diff(timestamps_ps.astype(np.int64))
-            same = dt == 0
-            if np.any(dt < 0) or np.any(np.diff(channels.astype(np.int64))[same] <= 0):
-                raise DataError("records must be sorted by timestamp, ties by channel")
+        later, earlier = timestamps_ps[1:], timestamps_ps[:-1]
+        tied = later == earlier
+        tied &= channels[1:] <= channels[:-1]
+        if np.any(later < earlier) or np.any(tied):
+            raise DataError("records must be sorted by timestamp, ties by channel")
+        if len(channels) and (channels.min() < 1 or channels.max() > meta.n_channels):
+            raise DataError(
+                f"record channels span {channels.min()}..{channels.max()}, "
+                f"outside 1..{meta.n_channels}"
+            )
         self.channels = channels
         self.timestamps_ps = timestamps_ps
         self.meta = meta
@@ -136,10 +146,8 @@ class TimeTagStream:
 
     def singles_counts(self) -> np.ndarray:
         """Per-channel record counts, index 0 = channel 1."""
-        counts = np.zeros(self.meta.n_channels, dtype=np.int64)
-        if len(self):
-            np.add.at(counts, self.channels.astype(np.int64) - 1, 1)
-        return counts
+        counts = np.bincount(self.channels, minlength=self.meta.n_channels + 1)
+        return counts[1:].astype(np.int64)
 
     def singles_rates_hz(self) -> np.ndarray:
         return self.singles_counts() / self.acquisition_s
@@ -172,16 +180,18 @@ def read_stream(path) -> TimeTagStream:
     side = sidecar_path(path)
     if not side.exists():
         raise DataError(f"missing sidecar {side}")
-    doc = json.loads(side.read_text())
-    n = int(doc["n_records"])
-    raw = path.read_bytes()
-    if len(raw) != n * RECORD_BYTES:
-        raise DataError(
-            f"{path}: expected {n * RECORD_BYTES} bytes for {n} records, got {len(raw)}"
-        )
-    channels = np.frombuffer(raw, dtype="<u4", count=n, offset=0)
-    timestamps = np.frombuffer(raw, dtype="<u8", count=n, offset=4 * n)
-    return TimeTagStream(channels.copy(), timestamps.copy(), StreamMeta.from_dict(doc))
+    try:
+        doc = json.loads(side.read_text())
+        n = int(doc["n_records"])
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"malformed sidecar {side}: {exc!r}") from None
+    meta = StreamMeta.from_dict(doc)
+    size = path.stat().st_size
+    if size != n * RECORD_BYTES:
+        raise DataError(f"{path}: expected {n * RECORD_BYTES} bytes for {n} records, got {size}")
+    channels = np.fromfile(path, dtype="<u4", count=n)
+    timestamps = np.fromfile(path, dtype="<u8", count=n, offset=4 * n)
+    return TimeTagStream(channels, timestamps, meta)
 
 
 def write_csv(stream: TimeTagStream, path) -> None:

@@ -1,6 +1,7 @@
 """Histogramming, coincidence counting, and parameter estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from demuxsim import (
     fit_switching_efficiency,
     g2_ratio,
     histogram,
+    pair_histograms,
     routing_by_bin,
     s_active,
     saturation_model,
@@ -37,7 +39,7 @@ from conftest import ETA_DM_TABLE, TABLE_RATIOS
 PERIOD_PS = 12500
 
 
-def make_stream(events, targets=(1, 2, 3, 4), pulse_count=1000) -> TimeTagStream:
+def make_stream(events, targets=(1, 2, 3, 4), pulse_count=1000, n_channels=4) -> TimeTagStream:
     """events: (channel, pulse_index) pairs, any order, no duplicates."""
     events = sorted((p, ch) for ch, p in events)
     meta = StreamMeta(
@@ -45,7 +47,7 @@ def make_stream(events, targets=(1, 2, 3, 4), pulse_count=1000) -> TimeTagStream
         pump_rate_hz=8.0e7,
         pulse_period_ps=PERIOD_PS,
         pulse_count=pulse_count,
-        n_channels=4,
+        n_channels=n_channels,
         schedule_period=len(targets),
         schedule_targets=tuple(targets),
     )
@@ -65,22 +67,82 @@ event_sets = st.lists(
 )
 
 
+def pairwise_oracle(events, a, b, max_delay):
+    """Histogram of t_b - t_a by walking every record pair directly."""
+    expected = np.zeros(2 * max_delay + 1, dtype=int)
+    for pa in [p for ch, p in events if ch == a]:
+        for pb in [p for ch, p in events if ch == b]:
+            if abs(pb - pa) <= max_delay:
+                expected[pb - pa + max_delay] += 1
+    return expected
+
+
 @settings(max_examples=80)
 @given(event_sets, st.integers(min_value=0, max_value=10))
 def test_histogram_matches_pairwise_enumeration(events, max_delay):
     stream = make_stream(events)
     hist = histogram(stream, 1, 2, max_delay_bins=max_delay)
-    # oracle: walk every record pair directly
-    a = [p for ch, p in events if ch == 1]
-    b = [p for ch, p in events if ch == 2]
-    expected = np.zeros(2 * max_delay + 1, dtype=int)
-    for pa in a:
-        for pb in b:
-            d = pb - pa
-            if -max_delay <= d <= max_delay:
-                expected[d + max_delay] += 1
-    np.testing.assert_array_equal(hist.counts, expected)
+    np.testing.assert_array_equal(hist.counts, pairwise_oracle(events, 1, 2, max_delay))
     np.testing.assert_array_equal(hist.delays, np.arange(-max_delay, max_delay + 1))
+
+
+@st.composite
+def wide_streams(draw):
+    """Streams of 2..12 channels, so channel masks span one or two bytes.
+
+    Pulses spread over up to 400 slots, so most gaps exceed the delay range,
+    and with few events some channels stay empty.
+    """
+    n = draw(st.integers(min_value=2, max_value=12))
+    events = draw(
+        st.lists(
+            st.tuples(st.integers(1, n), st.integers(0, draw(st.sampled_from([30, 400])))),
+            max_size=80,
+            unique=True,
+        )
+    )
+    return n, events
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_streams(), st.integers(min_value=0, max_value=10))
+def test_pair_histograms_match_pairwise_enumeration(wide, max_delay):
+    n, events = wide
+    stream = make_stream(events, n_channels=n)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    hists = pair_histograms(stream, pairs, max_delay)
+    assert [(h.channel_a, h.channel_b) for h in hists] == pairs
+    by_pair = {}
+    for (a, b), hist in zip(pairs, hists):
+        np.testing.assert_array_equal(hist.counts, pairwise_oracle(events, a, b, max_delay))
+        np.testing.assert_array_equal(hist.delays, np.arange(-max_delay, max_delay + 1))
+        by_pair[a, b] = hist.counts
+    for a, b in pairs:  # mirror symmetry
+        np.testing.assert_array_equal(by_pair[a, b], by_pair[b, a][::-1])
+
+
+def test_pair_histograms_memory_follows_records_not_pulses():
+    rng = np.random.default_rng(8)
+    # 990 isolated records 100 pulses apart or more over 1e11 pulses, and one
+    # dense run of 10 consecutive pulses between two of them
+    sparse = rng.choice(10**9, size=990, replace=False) * 100
+    run = [(int(ch), 5 * 10**10 + 30 + k) for k, ch in enumerate(rng.integers(1, 5, size=10))]
+    events = list(zip(rng.integers(1, 5, size=990).tolist(), sparse.tolist())) + run
+    stream = make_stream(events, pulse_count=10**11)
+    pairs = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    tracemalloc.start()
+    try:
+        hists = pair_histograms(stream, pairs, 12)
+        nfold = count_nfold(stream, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    for hist in hists:
+        expected = pairwise_oracle(run, hist.channel_a, hist.channel_b, 12)
+        np.testing.assert_array_equal(hist.counts, expected)
+    ones = {p for ch, p in run if ch == 1}
+    assert nfold.count == len(ones & {p - 1 for ch, p in run if ch == 2})
 
 
 @given(event_sets)
@@ -102,6 +164,9 @@ def test_histogram_validation():
         histogram(stream, 1, 2, max_delay_bins=4, bin_width_s=1e-8)
     ok = histogram(stream, 1, 2, max_delay_bins=4, bin_width_s=1.25e-8)
     assert ok.bin_width_s == 1.25e-8
+    for a, b in ((0, 2), (1, 5)):  # outside the stream's channels 1..4
+        with pytest.raises(DomainError):
+            pair_histograms(stream, [(1, 2), (a, b)], max_delay_bins=4)
 
 
 def test_g2_ratio_from_synthetic_histogram():
@@ -184,6 +249,29 @@ def test_count_nfold_respects_permuted_schedule():
     stream = make_stream(events, targets=(3, 1, 4, 2))
     assert count_nfold(stream, (3, 1)).count == 1
     assert count_nfold(stream, (1, 3)).count == 1
+
+
+@st.composite
+def scheduled_events(draw):
+    """A permuted cyclic schedule, events on its channels, and a channel subset."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    targets = tuple(draw(st.permutations(range(1, n + 1))))
+    events = draw(
+        st.lists(st.tuples(st.integers(1, n), st.integers(0, 60)), max_size=120, unique=True)
+    )
+    channels = draw(st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True))
+    return targets, events, tuple(channels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheduled_events())
+def test_count_nfold_matches_set_intersection(case):
+    targets, events, channels = case
+    stream = make_stream(events, targets=targets, n_channels=len(targets))
+    slots = [
+        {p - targets.index(ch) for c, p in events if c == ch} for ch in channels
+    ]
+    assert count_nfold(stream, channels).count == len(set.intersection(*slots))
 
 
 def test_count_nfold_validation():

@@ -245,6 +245,27 @@ def test_exit_code_corrupt_stream(tmp_path, simulated_stream, bright_config):
     assert code == 3
 
 
+def test_exit_code_out_of_range_channel(tmp_path, simulated_stream, bright_config):
+    raw = bytearray(simulated_stream.read_bytes())
+    raw[:4] = np.array([5], dtype="<u4").tobytes()  # first record on channel 5 of 4
+    simulated_stream.write_bytes(bytes(raw))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "histograms", "--out-dir", tmp_path]
+    )
+    assert code == 3
+
+
+def test_exit_code_malformed_sidecar(tmp_path, simulated_stream, bright_config):
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    side.write_text(side.read_text().replace('"n_records"', '"records"'))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "nfold", "--out-dir", tmp_path]
+    )
+    assert code == 3
+
+
 def test_exit_code_unidentifiable_ratios(tmp_path, simulated_stream, bright_config):
     code = run(
         ["analyze", "--config", bright_config, "--stream", simulated_stream,

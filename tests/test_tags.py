@@ -93,6 +93,13 @@ def test_sort_validation():
     assert len(make_stream([(2, 5), (3, 5)])) == 2
 
 
+@pytest.mark.parametrize("channel", [0, 5, 2**32 - 1])
+def test_out_of_range_channel_is_rejected(channel):
+    # channel 0 used to be counted as channel n, channels above n raised IndexError
+    with pytest.raises(DataError, match="channel"):
+        make_stream([(1, 0), (channel, 3)])
+
+
 def test_shape_validation():
     meta = make_meta()
     with pytest.raises(DataError):
@@ -167,6 +174,27 @@ def test_sidecar_validation(tmp_path):
     doc["format"] = "ttag-columnar"
     doc["format_version"] = 99
     side.write_text(json.dumps(doc))
+    with pytest.raises(DataError):
+        read_stream(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[: len(text) // 2],  # invalid JSON
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "n_records"}),
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "pulse_count"}),
+        lambda text: json.dumps({**json.loads(text), "pulse_period_ps": "fast"}),
+        lambda text: json.dumps({**json.loads(text), "schedule_targets": None}),
+        lambda text: json.dumps([json.loads(text)]),
+    ],
+    ids=["invalid-json", "no-n-records", "no-pulse-count", "non-numeric", "null-targets", "not-object"],
+)
+def test_malformed_sidecar_is_data_error(tmp_path, corrupt):
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, 0), (2, 3)]), path)
+    side = sidecar_path(path)
+    side.write_text(corrupt(side.read_text()))
     with pytest.raises(DataError):
         read_stream(path)
 
