@@ -15,6 +15,7 @@ import numpy as np
 from .couplers import (
     DemuxNetwork,
     SwitchSchedule,
+    channel_delay_bins,
     routing_by_bin,
     switching_efficiency,
 )
@@ -256,7 +257,7 @@ def count_nfold(
     if len(channels) < 2 or len(set(channels)) != len(channels):
         raise DomainError(f"need >= 2 distinct channels, got {channels!r}")
     period_s = stream.meta.pulse_period_ps * 1e-12
-    schedule_delays = _meta_delays(stream, channels)
+    schedule_delays = channel_delay_bins(stream.meta.schedule_targets, channels)
     span = max(schedule_delays) - min(schedule_delays)
     if window_s is None:
         window_s = (span + 1) * period_s
@@ -281,18 +282,6 @@ def count_nfold(
         count=count,
         acquisition_s=stream.acquisition_s,
     )
-
-
-def _meta_delays(stream: TimeTagStream, channels: Sequence[int]) -> tuple[int, ...]:
-    targets = stream.meta.schedule_targets
-    delays = []
-    for ch in channels:
-        if ch not in targets:
-            raise ConfigError(
-                f"channel {ch} is never targeted by the stream's schedule {targets!r}"
-            )
-        delays.append(targets.index(ch))
-    return tuple(delays)
 
 
 def eta_sd_from_singles(
@@ -544,6 +533,8 @@ def fit_saturation(
     y = np.asarray(rate_hz, dtype=float)
     if p.size != y.size or p.size < 3:
         raise DataError("need >= 3 (power, rate) points with matching shapes")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(y))):
+        raise DataError("pump powers and rates must be finite")
     if np.any(p < 0):
         raise DomainError("pump powers must be non-negative")
     if sigma_hz is not None:

@@ -6,6 +6,7 @@ its unit in the key name, and the schema is versioned via config_version.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Any
 
@@ -107,7 +108,16 @@ def _number(doc: dict, key: str, where: str, default=None) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
+
+
+def _integer(doc: dict, key: str, where: str) -> int:
+    value = _number(doc, key, where)
+    if not value.is_integer():
+        raise ConfigError(f"{where}.{key} must be an integer, got {doc[key]!r}")
+    return int(value)
 
 
 class RunConfig:
@@ -129,7 +139,10 @@ class RunConfig:
         self.budget = self._build_budget()
         self.eta_det = self._build_detector()
         self._validate_couplers_cover_network()
-        self._validate_lazy_sections()
+        # simulation and prediction are optional, but a document with a typo
+        # must not load cleanly, so both are parsed here
+        self._simulation = self._parse_simulation()
+        self._prediction = self._parse_prediction()
 
     # -- sections -----------------------------------------------------------
 
@@ -150,9 +163,9 @@ class RunConfig:
         _check_keys(sec, _NETWORK_KEYS, "network")
         topology = sec["topology"]
         if topology == "balanced":
-            return balanced_network(int(_number(sec, "outputs", "network")))
+            return balanced_network(_integer(sec, "outputs", "network"))
         if topology == "cascade":
-            return cascade_network(int(_number(sec, "outputs", "network")))
+            return cascade_network(_integer(sec, "outputs", "network"))
         if topology == "custom":
             if "root" not in sec:
                 raise ConfigError("network.topology=custom requires network.root")
@@ -178,14 +191,18 @@ class RunConfig:
             spec = {_state_name(k): v for k, v in spec.items()}
             if "voltages_v" in spec:
                 _check_keys(spec, _COUPLER_PHYSICAL_KEYS, f"couplers.{cid}")
-                voltages = _require_mapping(spec["voltages_v"], f"couplers.{cid}.voltages_v")
+                where = f"couplers.{cid}.voltages_v"
+                voltages = {
+                    _state_name(k): v
+                    for k, v in _require_mapping(spec["voltages_v"], where).items()
+                }
                 params = CouplerParams(
                     kappa_per_mm=_number(spec, "kappa_per_mm", f"couplers.{cid}"),
                     length_mm=_number(spec, "length_mm", f"couplers.{cid}"),
                     delta_beta_per_volt_per_mm=_number(
                         spec, "delta_beta_per_volt_per_mm", f"couplers.{cid}"
                     ),
-                    state_voltages={_state_name(k): float(v) for k, v in voltages.items()},
+                    state_voltages={k: _number(voltages, k, where) for k in voltages},
                 )
                 table[str(cid)] = params.ratios()
             else:
@@ -211,13 +228,19 @@ class RunConfig:
         sec = _require_mapping(sec, "schedule")
         _check_keys(sec, _SCHEDULE_KEYS, "schedule")
         kind = sec.get("kind", "cyclic")
+        targets = sec.get("targets")
+        if targets is not None:
+            if not isinstance(targets, list) or not all(
+                isinstance(t, int) and not isinstance(t, bool) for t in targets
+            ):
+                raise ConfigError(f"schedule.targets must be a list of outputs, got {targets!r}")
+            targets = tuple(targets)
         if kind == "cyclic":
-            targets = sec.get("targets")
             if "bins" in sec:
                 raise ConfigError("schedule.bins is only valid with kind=custom")
             return schedule_for_cycle(self.network, targets=targets, bin_duration_s=bin_s)
         if kind == "custom":
-            if "targets" not in sec or "bins" not in sec:
+            if targets is None or "bins" not in sec:
                 raise ConfigError("schedule.kind=custom requires targets and bins")
             bins = []
             for i, assignment in enumerate(sec["bins"]):
@@ -226,7 +249,7 @@ class RunConfig:
             return SwitchSchedule(
                 period=len(bins),
                 bins=tuple(bins),
-                targets=tuple(int(t) for t in sec["targets"]),
+                targets=targets,
                 bin_duration_s=bin_s,
             )
         raise ConfigError(f"unknown schedule.kind {kind!r}")
@@ -268,41 +291,47 @@ class RunConfig:
         if missing:
             raise ConfigError(f"couplers section lacks ratios for {missing!r}")
 
-    def _validate_lazy_sections(self) -> None:
-        # simulation/prediction are resolved on demand, but a document with a
-        # typo must not load cleanly
-        if "simulation" in self.doc:
-            sec = _require_mapping(self.doc["simulation"], "simulation")
-            _check_keys(sec, _SIMULATION_KEYS, "simulation")
-            if ("pulses" in sec) == ("duration_s" in sec):
-                raise ConfigError("simulation needs exactly one of pulses / duration_s")
-            seed = sec.get("seed")
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ConfigError("simulation.seed must be an integer")
-        if "prediction" in self.doc:
-            sec = _require_mapping(self.doc["prediction"], "prediction")
-            _check_keys(sec, _PREDICTION_KEYS, "prediction")
-
-    # -- resolved objects ----------------------------------------------------
-
-    def sim_config(self, pulses: int | None = None, seed: int | None = None) -> SimConfig:
+    def _parse_simulation(self) -> dict | None:
         sec = self.doc.get("simulation")
         if sec is None:
-            raise ConfigError("simulation section is required to simulate")
+            return None
         sec = _require_mapping(sec, "simulation")
         _check_keys(sec, _SIMULATION_KEYS, "simulation")
         if ("pulses" in sec) == ("duration_s" in sec):
             raise ConfigError("simulation needs exactly one of pulses / duration_s")
-        count = pulses
-        duration = None
-        if count is None:
-            if "pulses" in sec:
-                count = int(_number(sec, "pulses", "simulation"))
-            else:
-                duration = _number(sec, "duration_s", "simulation")
-        the_seed = seed if seed is not None else sec.get("seed")
-        if the_seed is None or isinstance(the_seed, bool) or not isinstance(the_seed, int):
+        seed = sec["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("simulation.seed must be an integer")
+        return {
+            "pump_power_uw": _number(sec, "pump_power_uw", "simulation"),
+            "rng_seed": seed,
+            "pulse_count": _integer(sec, "pulses", "simulation") if "pulses" in sec else None,
+            "duration_s": _number(sec, "duration_s", "simulation") if "duration_s" in sec else None,
+        }
+
+    def _parse_prediction(self) -> dict:
+        sec = self.doc.get("prediction")
+        if sec is None:
+            return {}
+        sec = _require_mapping(sec, "prediction")
+        _check_keys(sec, _PREDICTION_KEYS, "prediction")
+        parsed = {"include_detectors": bool(sec.get("include_detectors", False))}
+        if "eta_dm" in sec:
+            parsed["eta_dm"] = _number(sec, "eta_dm", "prediction")
+        if "n_max" in sec:
+            parsed["n_max"] = _integer(sec, "n_max", "prediction")
+        return parsed
+
+    # -- resolved objects ----------------------------------------------------
+
+    def sim_config(self, pulses: int | None = None, seed: int | None = None) -> SimConfig:
+        if self._simulation is None:
+            raise ConfigError("simulation section is required to simulate")
+        run = dict(self._simulation)
+        if pulses is not None:
+            run.update(pulse_count=pulses, duration_s=None)
+        if seed is not None:
+            run["rng_seed"] = seed
         return SimConfig(
             emitter=self.emitter,
             network=self.network,
@@ -310,39 +339,25 @@ class RunConfig:
             couplers=self.couplers,
             budget=self.budget,
             eta_det=self.eta_det,
-            pump_power_uw=_number(sec, "pump_power_uw", "simulation"),
-            rng_seed=int(the_seed),
-            pulse_count=count,
-            duration_s=duration,
+            **run,
         )
 
     def prediction_config(self, include_detectors: bool | None = None) -> PredictionConfig:
-        sec = self.doc.get("prediction")
-        eta_dm = None
-        include = False
-        if sec is not None:
-            sec = _require_mapping(sec, "prediction")
-            _check_keys(sec, _PREDICTION_KEYS, "prediction")
-            if "eta_dm" in sec:
-                eta_dm = _number(sec, "eta_dm", "prediction")
-            include = bool(sec.get("include_detectors", False))
-        if include_detectors is not None:
-            include = include_detectors
+        eta_dm = self._prediction.get("eta_dm")
         if eta_dm is None:
             eta_dm = switching_efficiency(self.network, self.schedule, self.couplers)
+        if include_detectors is None:
+            include_detectors = self._prediction.get("include_detectors", False)
         return PredictionConfig(
             source=self.emitter,
             transmission=self.budget,
             eta_dm=eta_dm,
             eta_det=self.eta_det,
-            include_detectors=include,
+            include_detectors=include_detectors,
         )
 
     def prediction_n_max(self, default: int = 10) -> int:
-        sec = self.doc.get("prediction")
-        if sec is None or "n_max" not in sec:
-            return default
-        return int(_number(sec, "n_max", "prediction"))
+        return self._prediction.get("n_max", default)
 
 
 def load_config(path) -> RunConfig:

@@ -376,15 +376,19 @@ def switching_efficiency(
     return float(np.mean([rows[b, schedule.targets[b] - 1] for b in range(schedule.period)]))
 
 
-def channel_delay_bins(schedule: SwitchSchedule, channels: Sequence[int]) -> tuple[int, ...]:
-    """Per-channel alignment delay: the first bin in which the channel is targeted."""
+def channel_delay_bins(targets: Sequence[int], channels: Sequence[int]) -> tuple[int, ...]:
+    """Per-channel alignment delay: the first bin in which the schedule targets it.
+
+    targets is a schedule's per-bin target channels (SwitchSchedule.targets or
+    a stream's StreamMeta.schedule_targets).
+    """
     delays = []
     for ch in channels:
         try:
-            delays.append(schedule.targets.index(ch))
+            delays.append(targets.index(ch))
         except ValueError:
             raise ConfigError(
-                f"channel {ch} is never targeted by the schedule {schedule.targets!r}"
+                f"channel {ch} is never targeted by the schedule {targets!r}"
             ) from None
     return tuple(delays)
 
@@ -402,7 +406,7 @@ def physical_nfold_scaling(
     Replaces the uniform-misroute closed form when the actual tree matters.
     """
     rows = routing_by_bin(network, schedule, table)
-    delays = channel_delay_bins(schedule, channels)
+    delays = channel_delay_bins(schedule.targets, channels)
     total = 0.0
     for b in range(schedule.period):
         p = 1.0

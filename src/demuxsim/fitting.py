@@ -1,9 +1,8 @@
-"""Damped least-squares (Levenberg-style) fitting with analytic Jacobians.
-
-Small, self-contained Gauss-Newton iteration with multiplicative damping.
-Parameter uncertainties come from the unscaled inverse normal matrix, which is
-the right covariance when residuals are pre-weighted by known measurement
-errors.
+"""Bounded least squares: scipy's trust-region reflective solver (Branch,
+Coleman & Li, SIAM J. Sci. Comput. 21, 1 (1999)) with analytic or numeric
+Jacobians.  Parameter uncertainties come from the unscaled inverse normal
+matrix, the right covariance when residuals are pre-weighted by known
+measurement errors.
 """
 
 from __future__ import annotations
@@ -11,13 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .errors import DomainError, FitNonConvergenceError
 
 __all__ = ["FitResult", "damped_least_squares", "finite_difference_jacobian"]
-
-MAX_ITERATIONS = 200
-REL_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,120 +61,61 @@ def finite_difference_jacobian(residual_fn, x: np.ndarray, step: float = 1e-7) -
     return jac
 
 
-def _covariance(jac: np.ndarray) -> np.ndarray:
-    jtj = jac.T @ jac
-    try:
-        return np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(jtj)
-
-
 def damped_least_squares(
     residual_fn,
     x0,
     jacobian_fn=None,
     names=None,
     bounds=None,
-    max_iterations: int = MAX_ITERATIONS,
-    rel_step_tol: float = REL_STEP_TOL,
+    max_iterations: int = 200,
 ) -> FitResult:
-    """Minimize ||residual_fn(x)||^2 from x0.
+    """Minimize ||residual_fn(x)||^2 from x0 by the trust-region reflective method.
 
-    Parameters
-    ----------
-    residual_fn : callable
-        Maps a parameter vector to the residual vector (already weighted).
-    x0 : array_like
-        Starting parameter vector.
-    jacobian_fn : callable, optional
-        Analytic Jacobian d residual / d x; finite differences when omitted.
-    names : sequence of str, optional
-        Parameter names for the FitResult; defaults to p0, p1, ...
-    bounds : sequence of (lo, hi), optional
-        Box constraints enforced by clipping trial steps.  A solution pinned
-        to a bound is reported with at_boundary=True.
-
-    Raises
-    ------
-    FitNonConvergenceError
-        If the relative step never falls below rel_step_tol within
-        max_iterations.
+    residual_fn maps a parameter vector to the (already weighted) residuals;
+    jacobian_fn is its analytic Jacobian, finite differences when omitted.
+    bounds is a sequence of (lo, hi) pairs; x0 is clipped into them, and a
+    solution with an active bound is reported with at_boundary=True.
+    max_iterations is the budget of residual evaluations; the result's
+    iterations counts Jacobian evaluations (accepted steps plus the start).
+    Raises FitNonConvergenceError when the budget runs out first.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("x0 must be a non-empty 1-d parameter vector")
-    if names is None:
-        names = tuple(f"p{i}" for i in range(x.size))
-    names = tuple(names)
+    names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(x.size))
     if jacobian_fn is None:
         jacobian_fn = lambda xv: finite_difference_jacobian(residual_fn, xv)
+    lo, hi = np.array(bounds, dtype=float).T if bounds is not None else (-np.inf, np.inf)
 
-    lo = hi = None
-    if bounds is not None:
-        lo = np.array([b[0] for b in bounds], dtype=float)
-        hi = np.array([b[1] for b in bounds], dtype=float)
-        x = np.clip(x, lo, hi)
-
-    def clip(v: np.ndarray) -> np.ndarray:
-        return np.clip(v, lo, hi) if bounds is not None else v
-
-    r = np.asarray(residual_fn(x), dtype=float)
-    cost = float(r @ r)
-    lam = 1e-3
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iterations + 1):
-        jac = np.asarray(jacobian_fn(x), dtype=float)
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        step_accepted = False
-        for _ in range(50):
-            damped = jtj + lam * np.diag(np.clip(np.diag(jtj), 1e-30, None))
-            try:
-                delta = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = clip(x + delta)
-            r_trial = np.asarray(residual_fn(trial), dtype=float)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial <= cost + 1e-15:
-                step_size = float(np.linalg.norm(trial - x))
-                x, r, cost = trial, r_trial, cost_trial
-                lam = max(lam / 3.0, 1e-12)
-                step_accepted = True
-                break
-            lam *= 10.0
-        if not step_accepted:
-            # damping saturated: no downhill direction left, treat as converged
-            converged = True
-            break
-        if step_size <= rel_step_tol * (np.linalg.norm(x) + rel_step_tol):
-            converged = True
-            break
-
-    if not converged:
+    res = least_squares(
+        residual_fn,
+        np.clip(x, lo, hi),
+        jac=jacobian_fn,
+        bounds=(lo, hi),
+        method="trf",
+        max_nfev=max_iterations,
+    )
+    residual_norm = float(np.linalg.norm(res.fun))
+    if res.status == 0:
         raise FitNonConvergenceError(
-            f"no convergence after {max_iterations} iterations "
-            f"(residual norm {np.sqrt(cost):.6g})",
-            iterations=max_iterations,
-            residual_norm=float(np.sqrt(cost)),
+            f"no convergence after {max_iterations} residual evaluations "
+            f"(residual norm {residual_norm:.6g})",
+            iterations=int(res.njev),
+            residual_norm=residual_norm,
         )
 
-    jac = np.asarray(jacobian_fn(x), dtype=float)
-    cov = _covariance(jac)
-    sigmas = tuple(float(s) for s in np.sqrt(np.clip(np.diag(cov), 0.0, None)))
-    at_boundary = bool(
-        bounds is not None and (np.any(np.isclose(x, lo)) or np.any(np.isclose(x, hi)))
-    )
+    jtj = res.jac.T @ res.jac
+    try:
+        cov = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(jtj)
     return FitResult(
         names=names,
-        values=tuple(float(v) for v in x),
-        sigmas=sigmas,
+        values=tuple(float(v) for v in res.x),
+        sigmas=tuple(float(s) for s in np.sqrt(np.clip(np.diag(cov), 0.0, None))),
         covariance=cov,
-        residual_norm=float(np.sqrt(cost)),
-        iterations=iterations,
+        residual_norm=residual_norm,
+        iterations=int(res.njev),
         converged=True,
-        at_boundary=at_boundary,
+        at_boundary=bool(np.any(res.active_mask)),
     )

@@ -17,13 +17,11 @@ from .errors import DomainError
 __all__ = [
     "EmitterParams",
     "LossBudget",
-    "ScalingResult",
     "RatePrediction",
     "PredictionConfig",
     "s_active",
     "s_active_enumerated",
     "s_probabilistic",
-    "scaling_comparison",
     "n_fold_rate",
     "compose_transmission",
     "saturation_brightness",
@@ -106,16 +104,6 @@ class LossBudget:
         """Budget with a single lumped transmission factor."""
         _check_unit_interval("transmission", transmission)
         return cls(mode_overlap=transmission)
-
-
-@dataclass(frozen=True)
-class ScalingResult:
-    """Active and probabilistic scaling factors for one channel count."""
-
-    n: int
-    s_active: float
-    s_probabilistic: float
-    eta_dm: float
 
 
 @dataclass(frozen=True)
@@ -209,15 +197,6 @@ def s_probabilistic(n: int) -> float:
     return (1.0 / n) ** n
 
 
-def scaling_comparison(n: int, eta_dm: float) -> ScalingResult:
-    return ScalingResult(
-        n=n,
-        s_active=s_active(n, eta_dm),
-        s_probabilistic=s_probabilistic(n),
-        eta_dm=eta_dm,
-    )
-
-
 # ---------------------------------------------------------------------------
 # rates
 # ---------------------------------------------------------------------------
@@ -260,17 +239,29 @@ def saturation_brightness(pump_power_uw: float, p0_uw: float, max_value: float) 
     return max_value * (1.0 - math.exp(-pump_power_uw / p0_uw))
 
 
-def _active_rate(config: PredictionConfig, n: int) -> float:
+def _active_rate(config: PredictionConfig, n: int) -> RatePrediction:
     eta_sd = config.source.saturated_brightness * config.transmission_value
-    eta_det = config.eta_det if config.include_detectors else 1.0
-    return n_fold_rate(n, config.source.pump_rate_hz, eta_sd, eta_det, s_active(n, config.eta_dm))
+    return _prediction(config, n, "active", eta_sd, s_active(n, config.eta_dm))
 
 
-def _probabilistic_rate(config: PredictionConfig, n: int) -> float:
+def _probabilistic_rate(config: PredictionConfig, n: int) -> RatePrediction:
     # Lossless-passive baseline: source brightness only, no device transmission.
     eta_sd = config.source.saturated_brightness
+    return _prediction(config, n, "probabilistic", eta_sd, s_probabilistic(n))
+
+
+def _prediction(
+    config: PredictionConfig, n: int, scheme: str, eta_sd: float, s_dm: float
+) -> RatePrediction:
     eta_det = config.eta_det if config.include_detectors else 1.0
-    return n_fold_rate(n, config.source.pump_rate_hz, eta_sd, eta_det, s_probabilistic(n))
+    return RatePrediction(
+        n=n,
+        scheme=scheme,
+        rate_hz=n_fold_rate(n, config.source.pump_rate_hz, eta_sd, eta_det, s_dm),
+        eta_sd=eta_sd,
+        eta_det=config.eta_det,
+        include_detectors=config.include_detectors,
+    )
 
 
 def predict_rates(config: PredictionConfig, n_values) -> list[RatePrediction]:
@@ -280,31 +271,9 @@ def predict_rates(config: PredictionConfig, n_values) -> list[RatePrediction]:
     With include_detectors False the detector term is dropped from both schemes
     (rates at the device outputs rather than after detection).
     """
-    eta_det = config.eta_det
-    predictions: list[RatePrediction] = []
-    for n in n_values:
-        eta_sd_active = config.source.saturated_brightness * config.transmission_value
-        predictions.append(
-            RatePrediction(
-                n=n,
-                scheme="active",
-                rate_hz=_active_rate(config, n),
-                eta_sd=eta_sd_active,
-                eta_det=eta_det,
-                include_detectors=config.include_detectors,
-            )
-        )
-        predictions.append(
-            RatePrediction(
-                n=n,
-                scheme="probabilistic",
-                rate_hz=_probabilistic_rate(config, n),
-                eta_sd=config.source.saturated_brightness,
-                eta_det=eta_det,
-                include_detectors=config.include_detectors,
-            )
-        )
-    return predictions
+    return [
+        rate(config, n) for n in n_values for rate in (_active_rate, _probabilistic_rate)
+    ]
 
 
 def crossover_n(
@@ -321,6 +290,6 @@ def crossover_n(
         raise DomainError(f"n_max must be >= 1, got {n_max!r}")
     baseline = baseline if baseline is not None else config
     for n in range(1, n_max + 1):
-        if _active_rate(config, n) > _probabilistic_rate(baseline, n):
+        if _active_rate(config, n).rate_hz > _probabilistic_rate(baseline, n).rate_hz:
             return n
     return None

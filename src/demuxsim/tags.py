@@ -20,7 +20,6 @@ from .errors import DataError
 
 __all__ = [
     "StreamMeta",
-    "TimeTagRecord",
     "TimeTagStream",
     "sidecar_path",
     "write_stream",
@@ -33,18 +32,6 @@ __all__ = [
 FORMAT_NAME = "ttag-columnar"
 FORMAT_VERSION = 1
 RECORD_BYTES = 4 + 8  # u32 channel + u64 picoseconds
-
-
-@dataclass(frozen=True)
-class TimeTagRecord:
-    """One detection event."""
-
-    channel: int
-    timestamp_ps: int
-
-    @property
-    def timestamp_s(self) -> float:
-        return self.timestamp_ps * 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,11 +138,6 @@ class TimeTagStream:
 
     def singles_rates_hz(self) -> np.ndarray:
         return self.singles_counts() / self.acquisition_s
-
-    def records(self):
-        """Iterate records as TimeTagRecord objects (small streams only)."""
-        for ch, ts in zip(self.channels, self.timestamps_ps):
-            yield TimeTagRecord(int(ch), int(ts))
 
 
 def sidecar_path(path) -> Path:

@@ -429,6 +429,17 @@ def test_fit_saturation_validation():
         fit_saturation([100.0, 200.0, 300.0], [1.0, 2.0, 3.0], sigma_hz=[1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["power", "rate"])
+def test_fit_saturation_rejects_non_finite_data(bad, column):
+    # a non-finite point used to yield NaN parameters marked converged
+    powers = list(np.linspace(60.0, 1500.0, 6))
+    rates = list(saturation_model(np.array(powers), 70.9, 348.0))
+    (powers if column == "power" else rates)[2] = bad
+    with pytest.raises(DataError, match="finite"):
+        fit_saturation(powers, rates)
+
+
 def make_counts(n, eta_dm, pump_rate_hz=1e6, eta=0.5, acq=1.0) -> NFoldCounts:
     rate = pump_rate_hz * eta**n * s_active(n, eta_dm)
     return NFoldCounts(

@@ -290,6 +290,15 @@ def test_exit_code_thin_saturation_data(tmp_path):
     assert run(["fit-saturation", "--data", data, "--out-dir", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_exit_code_non_finite_saturation_data(tmp_path, bad):
+    data = tmp_path / "sat.csv"
+    data.write_text(f"power_uw,rate_hz\n100,10.0\n200,{bad}\n300,30.0\n400,35.0\n")
+    out_dir = tmp_path / "fit"
+    assert run(["fit-saturation", "--data", data, "--out-dir", out_dir]) == 3
+    assert not (out_dir / "saturation_fit.json").exists()
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

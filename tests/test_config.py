@@ -255,3 +255,76 @@ def test_load_config_error_paths(tmp_path):
     scalar.write_text("42\n")
     with pytest.raises(ConfigError, match="mapping"):
         load_config(scalar)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("emitter", "saturation_power_uw", math.nan),
+        ("emitter", "pump_rate_mhz", math.inf),
+        ("emitter", "max_brightness", -math.inf),
+        ("simulation", "pump_power_uw", math.nan),
+        ("losses", "mode_overlap", math.nan),
+        ("prediction", "eta_dm", math.nan),
+    ],
+)
+def test_non_finite_numbers_rejected(section, key, value):
+    # NaN used to load and simulate zero records; an infinite pump rate
+    # surfaced later as a misleading data error about unsorted records
+    doc = variant()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+        RunConfig(doc)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("network", "outputs", 4.7), ("simulation", "pulses", 100000.5), ("prediction", "n_max", 6.5)],
+)
+def test_non_integral_counts_rejected(section, key, value):
+    # these used to be truncated silently (4.7 outputs built a 4-output tree)
+    doc = variant()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+        RunConfig(doc)
+
+
+def test_integral_floats_accepted_as_counts():
+    doc = variant()
+    doc["network"]["outputs"] = 4.0
+    doc["simulation"]["pulses"] = 2000.0
+    doc["prediction"]["n_max"] = 5.0
+    rc = RunConfig(doc)
+    assert rc.network.n_outputs == 4
+    assert rc.sim_config().resolved_pulse_count() == 2000
+    assert rc.prediction_n_max() == 5
+
+
+def test_simulation_section_checked_at_load():
+    # a broken simulation section fails when the document loads, not at simulate
+    doc = variant()
+    doc["simulation"]["pump_power_uw"] = "lots"
+    with pytest.raises(ConfigError, match="simulation.pump_power_uw must be a number"):
+        RunConfig(doc)
+
+
+@pytest.mark.parametrize("targets", [[1.7, 2.2], [1, "2"], [True, 2], "12"])
+@pytest.mark.parametrize("kind", ["cyclic", "custom"])
+def test_schedule_targets_must_be_outputs(kind, targets):
+    # fractional targets used to be truncated to other outputs
+    bins = [{"sw1": "on", "sw2": "on", "sw3": "off"}, {"sw1": "on", "sw2": "off", "sw3": "off"}]
+    sched = {"kind": kind, "targets": targets} | ({"bins": bins} if kind == "custom" else {})
+    with pytest.raises(ConfigError, match="schedule.targets must be a list of outputs"):
+        RunConfig(variant(schedule=sched))
+
+
+def test_coupler_voltages_must_be_finite():
+    doc = variant()
+    doc["couplers"]["sw1"] = {
+        "kappa_per_mm": 1.0,
+        "length_mm": 4.7,
+        "delta_beta_per_volt_per_mm": 0.5,
+        "voltages_v": {"off": 0.0, "on": math.nan},
+    }
+    with pytest.raises(ConfigError, match="couplers.sw1.voltages_v.on must be finite"):
+        RunConfig(doc)

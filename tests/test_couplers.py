@@ -224,9 +224,9 @@ def test_schedule_subset_and_validation(net4):
 
 def test_channel_delays_follow_target_order(net4):
     sched = schedule_for_cycle(net4, targets=(3, 1, 4, 2))
-    assert channel_delay_bins(sched, (1, 2, 3, 4)) == (1, 3, 0, 2)
+    assert channel_delay_bins(sched.targets, (1, 2, 3, 4)) == (1, 3, 0, 2)
     with pytest.raises(ConfigError):
-        channel_delay_bins(sched, (5,))
+        channel_delay_bins(sched.targets, (5,))
 
 
 # ---------------------------------------------------------------------------

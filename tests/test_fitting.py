@@ -1,9 +1,10 @@
-"""Damped least-squares engine against known solutions and scipy."""
+"""Least-squares engine against known solutions and scipy."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import curve_fit
 
 from demuxsim import (
@@ -134,3 +135,74 @@ def test_result_accessors():
     assert doc["converged"] and doc["iterations"] == 3
     with pytest.raises(ValueError):
         fit.value("missing")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_params=st.integers(1, 5),
+    extra_rows=st.integers(1, 15),
+    analytic=st.booleans(),
+)
+def test_linear_problems_match_lstsq(seed, n_params, extra_rows, analytic):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_params + extra_rows, n_params))
+    assume(np.linalg.cond(a) < 1e3)
+    b = a @ rng.normal(0.0, 10.0, n_params) + rng.normal(size=a.shape[0])
+
+    def residuals(x):
+        return a @ x - b
+
+    fit = damped_least_squares(
+        residuals, np.zeros(n_params), jacobian_fn=(lambda x: a) if analytic else None
+    )
+    expected, *_ = np.linalg.lstsq(a, b, rcond=None)
+    # the solver stops on relative tolerances, so errors scale with the solution
+    np.testing.assert_allclose(fit.values, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
+    cov = np.linalg.inv(a.T @ a)
+    # forward differences perturb small covariance entries by ~1e-9 of the largest
+    np.testing.assert_allclose(fit.covariance, cov, rtol=1e-5, atol=1e-7 * np.abs(cov).max())
+    assert fit.residual_norm == pytest.approx(np.linalg.norm(a @ expected - b), rel=1e-9)
+    assert fit.converged and not fit.at_boundary
+
+
+def test_start_outside_bounds_is_clipped():
+    x = np.linspace(0.0, 1.0, 10)
+    y = 0.5 * x + 0.25
+
+    def residuals(p):
+        return p[0] * x + p[1] - y
+
+    fit = damped_least_squares(residuals, [7.0, -3.0], bounds=[(0.0, 1.0), (0.0, 1.0)])
+    assert fit.values == pytest.approx((0.5, 0.25), abs=1e-8)
+    assert not fit.at_boundary
+
+
+def test_at_boundary_flags_only_pinned_fits():
+    x = np.linspace(0.0, 1.0, 10)
+    y = 2.0 * x - 0.5  # unconstrained optimum: slope 2, offset -0.5
+
+    def residuals(p):
+        return p[0] * x + p[1] - y
+
+    pinned = damped_least_squares(residuals, [1.0, 0.5], bounds=[(0.0, 5.0), (0.0, 5.0)])
+    assert pinned.values[1] == pytest.approx(0.0, abs=1e-9)
+    assert pinned.at_boundary
+    free = damped_least_squares(residuals, [1.0, 0.5], bounds=[(0.0, 5.0), (-5.0, 5.0)])
+    assert free.values == pytest.approx((2.0, -0.5), abs=1e-8)
+    assert not free.at_boundary
+    assert not damped_least_squares(residuals, [1.0, 0.5]).at_boundary
+
+
+def test_non_convergence_error_carries_diagnostics():
+    x = np.linspace(0.0, 1.0, 10)
+    y = 3.0 * np.exp(-2.0 * x)
+
+    def residuals(p):
+        return p[0] * np.exp(-p[1] * x) - y
+
+    with pytest.raises(FitNonConvergenceError) as err:
+        damped_least_squares(residuals, [100.0, 50.0], max_iterations=3)
+    assert isinstance(err.value.iterations, int) and 1 <= err.value.iterations <= 3
+    assert math.isfinite(err.value.residual_norm) and err.value.residual_norm > 0.0
+    assert f"{err.value.residual_norm:.6g}" in str(err.value)

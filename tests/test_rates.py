@@ -18,7 +18,6 @@ from demuxsim import (
     s_active_enumerated,
     s_probabilistic,
     saturation_brightness,
-    scaling_comparison,
 )
 
 etas = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -72,13 +71,6 @@ def test_enumeration_gap_at_four_is_extra_derangements(eta):
     expected = (9 - 3) * ((1.0 - eta) / 3.0) ** 4 / 4.0
     # the gap is a difference of O(0.1) quantities, so compare absolutely
     assert abs(gap - expected) <= 1e-13
-
-
-def test_scaling_comparison_bundles_both_schemes():
-    result = scaling_comparison(4, 0.8)
-    assert result.s_active == s_active(4, 0.8)
-    assert result.s_probabilistic == s_probabilistic(4)
-    assert result.eta_dm == 0.8
 
 
 def test_domain_validation():
