@@ -264,15 +264,15 @@ def cmd_fit_saturation(args) -> int:
         rows = [line.strip().split(",") for line in fh if line.strip()]
     expected = ["power_uw", "rate_hz"]
     if header[: len(expected)] != expected:
-        raise ConfigError(f"{path}: expected header power_uw,rate_hz[,sigma_hz], got {header!r}")
+        raise DataError(f"{path}: expected header power_uw,rate_hz[,sigma_hz], got {header!r}")
     if len(rows) < 3:
-        raise ConfigError(f"{path}: need at least 3 data rows, got {len(rows)}")
+        raise DataError(f"{path}: need at least 3 data rows, got {len(rows)}")
     try:
         power = [float(r[0]) for r in rows]
         rate = [float(r[1]) for r in rows]
         sigma = [float(r[2]) for r in rows] if len(header) > 2 and header[2] == "sigma_hz" else None
     except (ValueError, IndexError):
-        raise ConfigError(f"{path}: rows must be numeric power_uw,rate_hz[,sigma_hz]") from None
+        raise DataError(f"{path}: rows must be numeric power_uw,rate_hz[,sigma_hz]") from None
     fit = analysis.fit_saturation(power, rate, sigma_hz=sigma)
     out_dir = _out_dir(args)
     _write_json(out_dir / "saturation_fit.json", fit.to_dict())

@@ -272,6 +272,11 @@ class SwitchSchedule:
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ConfigError(f"schedule period must be >= 1, got {self.period!r}")
+        if not all(
+            isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in self.targets
+        ):
+            raise ConfigError(f"schedule targets must be integers, got {self.targets!r}")
+        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         if len(self.bins) != self.period or len(self.targets) != self.period:
             raise ConfigError("schedule bins/targets must match the period")
         ids = set(self.bins[0])
@@ -299,7 +304,7 @@ def schedule_for_cycle(
     if targets is None:
         targets = tuple(range(1, network.n_outputs + 1))
     else:
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(targets)
         for t in targets:
             network.path_to(t)  # raises on unknown outputs
     bins = []

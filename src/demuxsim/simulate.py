@@ -12,7 +12,8 @@ a click detector cannot resolve them.
 Randomness is counter-based: pulses are laid out on a fixed grid of
 2**16-pulse blocks, and the uniforms for a block depend only on
 (seed, block_index).  Sharding a run therefore cannot change its draws, and
-shard_and_merge reproduces single-shot output exactly.
+shard_and_merge reproduces single-shot output exactly; nor can the number of
+threads that simulate the blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,9 @@ __all__ = [
 
 BLOCK_PULSES = 1 << 16  # fixed draw-grid block; independent of shard layout
 _DRAWS_PER_PULSE = 6  # emit/route/survive for the primary and second photon
+_CHUNK_ROWS = 1 << 13  # rows per fill; bounds each worker's draw buffer
+# CPUs this process may use (sched_getaffinity is missing on macOS and Windows)
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def second_photon_probability(p1: float, g2_zero: float) -> float:
@@ -153,78 +159,80 @@ class SimConfig:
         )
 
 
-def _block_uniforms(seed: int, block_index: int, lo: int, hi: int) -> np.ndarray:
-    """Uniforms for pulses [lo, hi) within one grid block, shard-independent."""
-    bitgen = np.random.Philox(seed=np.random.SeedSequence((seed, block_index)))
-    u = np.random.Generator(bitgen).random((BLOCK_PULSES, _DRAWS_PER_PULSE))
-    return u[lo:hi]
-
-
 def _simulate_range(config: SimConfig, start: int, stop: int):
-    """Simulate pulses [start, stop); returns (pulse_indices, channels)."""
+    """Simulate pulses [start, stop); returns (channels u32, timestamps_ps u64).
+
+    Grid blocks are independent, so they run on a thread pool (NumPy's fills
+    and ufuncs release the GIL) and are gathered in block order.
+    """
     p1 = config.emission_probability()
-    p2 = second_photon_probability(p1, config.emitter.g2_zero)
+    probs = (p1, second_photon_probability(p1, config.emitter.g2_zero))
     p_survive = config.transmission() * config.eta_det
     period = config.schedule.period
-    cum = np.cumsum(routing_by_bin(config.network, config.schedule, config.couplers), axis=1)
-    cum[:, -1] = 1.0  # guard the last inverse-CDF edge against rounding
-
-    pulses_out = []
-    channels_out = []
-    pos = start
-    while pos < stop:
-        block = pos // BLOCK_PULSES
-        block_start = block * BLOCK_PULSES
-        lo = pos - block_start
-        hi = min(stop - block_start, BLOCK_PULSES)
-        u = _block_uniforms(config.rng_seed, block, lo, hi)
-        idx = np.arange(block_start + lo, block_start + hi, dtype=np.int64)
-        bins = (idx % period).astype(np.intp)
-
-        chunk_pulses = []
-        chunk_channels = []
-        for emit_col, route_col, survive_col, prob in ((0, 1, 2, p1), (3, 4, 5, p2)):
-            detected = (u[:, emit_col] < prob) & (u[:, survive_col] < p_survive)
-            if not np.any(detected):
-                chunk_pulses.append(np.empty(0, np.int64))
-                chunk_channels.append(np.empty(0, np.int64))
-                continue
-            rows = cum[bins[detected]]
-            channel = (u[detected, route_col][:, None] >= rows).sum(axis=1) + 1
-            chunk_pulses.append(idx[detected])
-            chunk_channels.append(channel.astype(np.int64))
-
-        p_a, p_b = chunk_pulses
-        c_a, c_b = chunk_channels
-        if len(p_a) and len(p_b):
-            # collapse same-pulse same-channel double hits into one click
-            hit = np.clip(np.searchsorted(p_a, p_b), 0, len(p_a) - 1)
-            dup = (p_a[hit] == p_b) & (c_a[hit] == c_b)
-            p_b = p_b[~dup]
-            c_b = c_b[~dup]
-        pulses = np.concatenate([p_a, p_b])
-        channels = np.concatenate([c_a, c_b])
-        order = np.lexsort((channels, pulses))
-        pulses_out.append(pulses[order])
-        channels_out.append(channels[order])
-        pos = block_start + hi
-
-    if pulses_out:
-        return np.concatenate(pulses_out), np.concatenate(channels_out)
-    return np.empty(0, np.int64), np.empty(0, np.int64)
-
-
-def _to_stream(config: SimConfig, pulses: np.ndarray, channels: np.ndarray) -> TimeTagStream:
+    n_out = config.network.n_outputs
     period_ps = np.uint64(config.pulse_period_ps())
-    timestamps = pulses.astype(np.uint64) * period_ps
-    return TimeTagStream(channels.astype(np.uint32), timestamps, config.stream_meta())
+    cum = np.cumsum(routing_by_bin(config.network, config.schedule, config.couplers), axis=1)
+    # inverse-CDF edges per output, one row per schedule bin; the last edge
+    # is 1 and no uniform reaches it, so channel - 1 counts the edges passed
+    edges = np.ascontiguousarray(cum[:, :-1].T)
+
+    def run_block(block: int):
+        first = block * BLOCK_PULSES
+        lo = max(start - first, 0)
+        hi = min(stop - first, BLOCK_PULSES)
+        bitgen = np.random.Philox(seed=np.random.SeedSequence((config.rng_seed, block)))
+        gen = np.random.Generator(bitgen)
+        # consecutive fills yield the rows of one random((BLOCK_PULSES, 6)) draw
+        buf = np.empty((_CHUNK_ROWS, _DRAWS_PER_PULSE))
+        hits = [([], []), ([], [])]  # per photon: pulse indices, route uniforms
+        for row in range(0, hi, _CHUNK_ROWS):
+            gen.random(out=buf)
+            u = buf[max(lo - row, 0) : hi - row]
+            offset = first + max(lo, row)
+            for col, prob, (pulses, routes) in zip((0, 3), probs, hits):
+                at = np.flatnonzero(u[:, col] < prob)
+                if p_survive < 1.0:  # u < 1 always survives
+                    at = at[u[at, col + 2] < p_survive]
+                pulses.append(at + offset)
+                routes.append(u[at, col + 1])
+
+        keys = []
+        for pulses, routes in hits:
+            pulse = np.concatenate(pulses)
+            route = np.concatenate(routes)
+            bins = pulse % period
+            key = pulse * n_out  # sort key pulse * n + channel - 1
+            for edge in edges:
+                key += route >= edge[bins]
+            keys.append(key)
+        # merge the two sorted runs; a double hit on one channel is one click
+        key = np.sort(np.concatenate(keys), kind="stable")
+        keep = np.ones(len(key), bool)
+        keep[1:] = key[1:] != key[:-1]
+        pulse, channel = np.divmod(key[keep], n_out)
+        channels = channel.astype(np.uint32)
+        channels += 1
+        timestamps = pulse.view(np.uint64)
+        timestamps *= period_ps
+        return channels, timestamps
+
+    blocks = range(start // BLOCK_PULSES, -(-stop // BLOCK_PULSES))
+    workers = min(_WORKERS, len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(run_block, blocks))
+    else:
+        parts = [run_block(block) for block in blocks]
+    if not parts:
+        return np.empty(0, np.uint32), np.empty(0, np.uint64)
+    channels, timestamps = zip(*parts)
+    return np.concatenate(channels), np.concatenate(timestamps)
 
 
 def simulate(config: SimConfig) -> TimeTagStream:
     """Run the full simulation and return the sorted time-tag stream."""
     n = config.resolved_pulse_count()
-    pulses, channels = _simulate_range(config, 0, n)
-    return _to_stream(config, pulses, channels)
+    return TimeTagStream(*_simulate_range(config, 0, n), config.stream_meta())
 
 
 def shard_and_merge(config: SimConfig, n_shards: int) -> TimeTagStream:
@@ -232,9 +240,10 @@ def shard_and_merge(config: SimConfig, n_shards: int) -> TimeTagStream:
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards!r}")
     n = config.resolved_pulse_count()
+    meta = config.stream_meta()
     edges = np.linspace(0, n, n_shards + 1).astype(np.int64)
-    parts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pulses, channels = _simulate_range(config, int(lo), int(hi))
-        parts.append(_to_stream(config, pulses, channels))
-    return merge_streams(parts, config.stream_meta())
+    parts = [
+        TimeTagStream(*_simulate_range(config, int(lo), int(hi)), meta)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    return merge_streams(parts, meta)

@@ -147,11 +147,9 @@ def sidecar_path(path) -> Path:
 def write_stream(stream: TimeTagStream, path) -> None:
     """Write the columnar binary file and its JSON sidecar."""
     path = Path(path)
-    payload = (
-        stream.channels.astype("<u4").tobytes()
-        + stream.timestamps_ps.astype("<u8").tobytes()
-    )
-    path.write_bytes(payload)
+    with path.open("wb") as fh:  # the columns' own buffers, no byte copies
+        fh.write(np.ascontiguousarray(stream.channels, dtype="<u4"))
+        fh.write(np.ascontiguousarray(stream.timestamps_ps, dtype="<u8"))
     doc = stream.meta.to_dict()
     doc["n_records"] = len(stream)
     sidecar_path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -185,21 +183,37 @@ def write_csv(stream: TimeTagStream, path) -> None:
 
 
 def read_csv(path, meta: StreamMeta) -> TimeTagStream:
-    """Load a CSV export; metadata must be supplied (CSV has no sidecar)."""
+    """Load a CSV export; metadata must be supplied (CSV has no sidecar).
+
+    Fields must be integers and timestamps must sit on the pulse grid, since
+    analysis maps each record to a pulse index by exact division.
+    """
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
         if header != "channel,timestamp_ps":
             raise DataError(f"unexpected CSV header {header!r}")
         rows = [line.split(",") for line in fh if line.strip()]
-    channels = np.array([int(r[0]) for r in rows], dtype=np.uint32)
-    timestamps = np.array([int(r[1]) for r in rows], dtype=np.uint64)
+    malformed = f"{path}: rows must be two integers channel,timestamp_ps"
+    if any(len(r) != 2 for r in rows):
+        raise DataError(malformed)
+    try:
+        table = np.array([int(f) for r in rows for f in r], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise DataError(malformed) from None
+    channels, timestamps = table.reshape(-1, 2).T
+    if np.any(channels < 1) or np.any(channels > meta.n_channels):  # before u32 wraps them
+        raise DataError(f"{path}: channels must lie in 1..{meta.n_channels}")
+    if np.any(timestamps < 0) or np.any(timestamps % meta.pulse_period_ps):
+        raise DataError(f"{path}: timestamps must be multiples of {meta.pulse_period_ps} ps >= 0")
     return TimeTagStream(channels, timestamps, meta)
 
 
 def merge_streams(parts, meta: StreamMeta) -> TimeTagStream:
     """Concatenate shard streams that cover disjoint, ordered pulse ranges."""
     parts = list(parts)
+    if any(p.meta != meta for p in parts):
+        raise DataError("shard streams must share the merged stream's metadata")
     if not parts:
         return TimeTagStream(np.empty(0, np.uint32), np.empty(0, np.uint64), meta)
     channels = np.concatenate([p.channels for p in parts])

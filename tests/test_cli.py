@@ -285,9 +285,11 @@ def test_exit_code_bad_pairs(tmp_path, simulated_stream, bright_config):
 def test_exit_code_thin_saturation_data(tmp_path):
     data = tmp_path / "thin.csv"
     data.write_text("power_uw,rate_hz\n100,1.0\n200,2.0\n")
-    assert run(["fit-saturation", "--data", data, "--out-dir", tmp_path]) == 2
+    assert run(["fit-saturation", "--data", data, "--out-dir", tmp_path]) == 3
     data.write_text("power_uw,rate_hz\n100,1.0\n200,abc\n300,3.0\n")
-    assert run(["fit-saturation", "--data", data, "--out-dir", tmp_path]) == 2
+    assert run(["fit-saturation", "--data", data, "--out-dir", tmp_path]) == 3
+    data.write_text("power,rate\n100,1.0\n200,2.0\n300,3.0\n")
+    assert run(["fit-saturation", "--data", data, "--out-dir", tmp_path]) == 3
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

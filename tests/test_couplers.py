@@ -222,6 +222,22 @@ def test_schedule_subset_and_validation(net4):
         )
 
 
+@pytest.mark.parametrize("targets", [[1.7, 2.2, "3"], [1, 2.0], [True, 2], ["3"]])
+def test_schedule_targets_must_be_integers(net4, targets):
+    # [1.7, 2.2, "3"] used to become outputs (1, 2, 3)
+    with pytest.raises(ConfigError):
+        schedule_for_cycle(net4, targets=targets)
+    bins = tuple({"sw1": "off", "sw2": "off", "sw3": "off"} for _ in targets)
+    with pytest.raises(ConfigError, match="schedule targets must be integers"):
+        SwitchSchedule(period=len(targets), bins=bins, targets=tuple(targets))
+
+
+def test_schedule_targets_accept_numpy_integers(net4):
+    sched = schedule_for_cycle(net4, targets=np.array([3, 1], dtype=np.int64))
+    assert sched.targets == (3, 1)
+    assert all(type(t) is int for t in sched.targets)
+
+
 def test_channel_delays_follow_target_order(net4):
     sched = schedule_for_cycle(net4, targets=(3, 1, 4, 2))
     assert channel_delay_bins(sched.targets, (1, 2, 3, 4)) == (1, 3, 0, 2)

@@ -117,6 +117,14 @@ def test_derived_quantities():
     )
 
 
+def test_strided_columns_round_trip(tmp_path):
+    table = np.array([[1, 0], [3, PERIOD_PS], [2, 5 * PERIOD_PS]], dtype=np.uint64)
+    stream = TimeTagStream(table[:, 0], table[:, 1], make_meta())  # non-contiguous views
+    path = tmp_path / "strided.tags"
+    write_stream(stream, path)
+    assert read_stream(path) == stream
+
+
 def test_empty_stream(tmp_path):
     stream = make_stream([])
     assert len(stream) == 0
@@ -193,6 +201,39 @@ def test_malformed_sidecar_is_data_error(tmp_path, corrupt):
     side.write_text(corrupt(side.read_text()))
     with pytest.raises(DataError):
         read_stream(path)
+
+
+@pytest.mark.parametrize(
+    "meta_kwargs", [{"pulse_count": 500}, {"n_channels": 8}, {"targets": (2, 1, 4, 3)}]
+)
+def test_merge_streams_rejects_mismatched_meta(meta_kwargs):
+    part = make_stream([(1, 0), (2, 3)], **meta_kwargs)
+    with pytest.raises(DataError, match="metadata"):
+        merge_streams([make_stream([(1, 0)]), part], make_meta())
+    with pytest.raises(DataError, match="metadata"):
+        merge_streams([part], make_meta())
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,12501",  # off the pulse grid
+        "1,6250",
+        "1,-12500",
+        "1.5,0",  # non-integer fields
+        "1,1.25e4",
+        "1,12500.0",
+        "one,0",
+        "1",
+        "1,0,7",
+        "4294967297,0",  # channel 1 after a u32 cast
+    ],
+)
+def test_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "run.csv"
+    path.write_text(f"channel,timestamp_ps\n1,0\n{row}\n2,25000\n")
+    with pytest.raises(DataError):
+        read_csv(path, make_meta())
 
 
 def test_csv_header_checked(tmp_path):
