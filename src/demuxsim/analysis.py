@@ -7,7 +7,7 @@ scaled to rates by the acquisition time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ from .couplers import (
     routing_by_bin,
     switching_efficiency,
 )
-from .errors import ConfigError, DataError, DomainError, EstimationError
+from .errors import DataError, DomainError, EstimationError
 from .fitting import FitResult, damped_least_squares, finite_difference_jacobian
 from .rates import s_active
 from .tags import TimeTagStream
@@ -51,7 +51,7 @@ class CoincidenceHistogram:
     """Signed-delay coincidence histogram between two channels.
 
     counts[i] is the number of record pairs with t_b - t_a in delay bin
-    delays[i]; the bin width defaults to one pump pulse period.
+    delays[i]; the bin width is one pump pulse period.
     """
 
     channel_a: int
@@ -65,28 +65,16 @@ class CoincidenceHistogram:
 
 
 def histogram(
-    stream: TimeTagStream,
-    channel_a: int,
-    channel_b: int,
-    max_delay_bins: int,
-    bin_width_s: float | None = None,
+    stream: TimeTagStream, channel_a: int, channel_b: int, max_delay_bins: int
 ) -> CoincidenceHistogram:
-    """Histogram of t_b - t_a over +-max_delay_bins.
+    """Histogram of t_b - t_a over +-max_delay_bins pulse periods.
 
     Swapping the channels mirrors the delay axis.  The two channels must
     differ; a same-channel request needs an autocorrelator, not a pair
     histogram.
     """
-    period_s = stream.meta.pulse_period_ps * 1e-12
-    if bin_width_s is not None and not math.isclose(bin_width_s, period_s, rel_tol=1e-9):
-        raise ConfigError(
-            "bin widths other than the pulse period are not supported; "
-            "tags are clocked so fractional bins would alias"
-        )
     (hist,) = pair_histograms(stream, [(channel_a, channel_b)], max_delay_bins)
-    if bin_width_s is None:
-        return hist
-    return replace(hist, bin_width_s=bin_width_s)
+    return hist
 
 
 def pair_histograms(
@@ -241,31 +229,19 @@ class NFoldCounts:
         return math.sqrt(self.count) / self.acquisition_s
 
 
-def count_nfold(
-    stream: TimeTagStream,
-    channels: Sequence[int],
-    window_s: float | None = None,
-) -> NFoldCounts:
+def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
     """Count events where all channels fire at their scheduled pulse offsets.
 
     Each channel's records are shifted back by its schedule delay (the bin in
     which the schedule targets it); a coincidence is a pulse slot where every
     channel has a record, i.e. simultaneity within half a pulse period after
-    alignment.  The window must span the alignment range.
+    alignment.  The reported window is the alignment span plus one period.
     """
     channels = tuple(int(c) for c in channels)
     if len(channels) < 2 or len(set(channels)) != len(channels):
         raise DomainError(f"need >= 2 distinct channels, got {channels!r}")
-    period_s = stream.meta.pulse_period_ps * 1e-12
     schedule_delays = channel_delay_bins(stream.meta.schedule_targets, channels)
     span = max(schedule_delays) - min(schedule_delays)
-    if window_s is None:
-        window_s = (span + 1) * period_s
-    if window_s < span * period_s:
-        raise ConfigError(
-            f"window {window_s:.3e}s is smaller than the schedule span "
-            f"{span * period_s:.3e}s; aligned channels can never coincide"
-        )
     _check_channels(stream, channels)
     lead = min(schedule_delays)
     # candidates are occupied slots, read as the pulse of the channel scheduled
@@ -278,7 +254,7 @@ def count_nfold(
     return NFoldCounts(
         n=len(channels),
         channels=channels,
-        window_s=float(window_s),
+        window_s=(span + 1) * (stream.meta.pulse_period_ps * 1e-12),
         count=count,
         acquisition_s=stream.acquisition_s,
     )
@@ -378,14 +354,13 @@ def estimate_splitting_ratios(
     histograms: Sequence[CoincidenceHistogram],
     network: DemuxNetwork,
     schedule: SwitchSchedule,
-    states: Sequence[str] = ("on", "off"),
 ) -> RatioEstimationResult:
-    """Estimate per-coupler, per-state through fractions from pair histograms.
+    """Estimate the through fractions of every coupler's on and off states.
 
     Peak areas, folded to delay classes modulo the schedule period, are fit
     against the tree path-product routing model by weighted least squares;
     one free scale per histogram absorbs flux and detector efficiencies.
-    Histograms must cover enough distinct pairs to make all requested ratios
+    Histograms must cover enough distinct pairs to make all the ratios
     identifiable (all pairs sharing channel 1 suffice for a balanced 1x4).
     """
     if not histograms:
@@ -400,9 +375,8 @@ def estimate_splitting_ratios(
             )
         data.append((hist.channel_a, hist.channel_b, areas, n_terms))
 
-    coupler_ids = list(network.coupler_ids)
-    states = tuple(states)
-    ratio_names = [f"{cid}:{st}" for cid in coupler_ids for st in states]
+    states = ("on", "off")
+    ratio_names = [f"{cid}:{st}" for cid in network.coupler_ids for st in states]
     scale_names = [f"scale:{a}-{b}" for a, b, _, _ in data]
     n_ratio = len(ratio_names)
 
@@ -410,13 +384,8 @@ def estimate_splitting_ratios(
     sigma = np.sqrt(np.clip(y, 1.0, None))  # Poisson, floored for empty classes
 
     def build_table(x: np.ndarray) -> dict[str, dict[str, float]]:
-        table: dict[str, dict[str, float]] = {cid: {} for cid in coupler_ids}
-        k = 0
-        for cid in coupler_ids:
-            for st in states:
-                table[cid][st] = float(np.clip(x[k], 0.0, 1.0))
-                k += 1
-        return table
+        ratios = np.clip(x[:n_ratio], 0.0, 1.0).reshape(-1, len(states)).tolist()
+        return {cid: dict(zip(states, r)) for cid, r in zip(network.coupler_ids, ratios)}
 
     first = np.array([a - 1 for a, _, _, _ in data])
     second = np.array([b - 1 for _, b, _, _ in data])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -39,8 +38,7 @@ EXIT_NUMERIC = 5
 
 
 def _out_dir(args) -> Path:
-    base = getattr(args, "out_dir", None) or os.environ.get("DEMUXSIM_OUT_DIR") or "."
-    path = Path(base)
+    path = Path(args.out_dir or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -134,6 +132,8 @@ def _load_streams(rc: RunConfig, paths) -> list:
 
 
 def cmd_analyze(args) -> int:
+    if args.which != "eta-dm" and len(args.stream) > 1:
+        raise ConfigError(f"--which {args.which} analyses one --stream, got {len(args.stream)}")
     rc = load_config(args.config)
     streams = _load_streams(rc, args.stream)
     out_dir = _out_dir(args)
@@ -186,7 +186,7 @@ def _analyze_nfold(rc, streams, args, out_dir: Path) -> int:
     channels = _parse_channels(args.channels) if args.channels else tuple(
         stream.meta.schedule_targets[: stream.meta.schedule_period]
     )
-    result = analysis.count_nfold(stream, channels, window_s=args.window_s)
+    result = analysis.count_nfold(stream, channels)
     doc = {
         "n": result.n,
         "channels": list(result.channels),
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", default="first",
                    help='"first", "all", or "a,b;c,d" pair list')
     p.add_argument("--channels", default=None, help="comma-separated channels for nfold")
-    p.add_argument("--window-s", type=float, default=None)
     p.add_argument("--max-delay-bins", type=int, default=12)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_analyze)

@@ -222,9 +222,8 @@ class RunConfig:
 
     def _build_schedule(self) -> SwitchSchedule:
         sec = self.doc.get("schedule")
-        bin_s = 1.0 / self.emitter.pump_rate_hz
         if sec is None:
-            return schedule_for_cycle(self.network, bin_duration_s=bin_s)
+            return schedule_for_cycle(self.network)
         sec = _require_mapping(sec, "schedule")
         _check_keys(sec, _SCHEDULE_KEYS, "schedule")
         kind = sec.get("kind", "cyclic")
@@ -238,7 +237,7 @@ class RunConfig:
         if kind == "cyclic":
             if "bins" in sec:
                 raise ConfigError("schedule.bins is only valid with kind=custom")
-            return schedule_for_cycle(self.network, targets=targets, bin_duration_s=bin_s)
+            return schedule_for_cycle(self.network, targets=targets)
         if kind == "custom":
             if targets is None or "bins" not in sec:
                 raise ConfigError("schedule.kind=custom requires targets and bins")
@@ -246,12 +245,12 @@ class RunConfig:
             for i, assignment in enumerate(sec["bins"]):
                 assignment = _require_mapping(assignment, f"schedule.bins[{i}]")
                 bins.append({str(k): _state_name(v) for k, v in assignment.items()})
-            return SwitchSchedule(
-                period=len(bins),
-                bins=tuple(bins),
-                targets=targets,
-                bin_duration_s=bin_s,
-            )
+                if set(bins[-1]) != set(self.network.coupler_ids):
+                    raise ConfigError(
+                        f"schedule.bins[{i}] must set exactly the network's couplers "
+                        f"{self.network.coupler_ids!r}, got {sorted(bins[-1])!r}"
+                    )
+            return SwitchSchedule(period=len(bins), bins=tuple(bins), targets=targets)
         raise ConfigError(f"unknown schedule.kind {kind!r}")
 
     def _build_budget(self) -> LossBudget:
@@ -356,8 +355,8 @@ class RunConfig:
             include_detectors=include_detectors,
         )
 
-    def prediction_n_max(self, default: int = 10) -> int:
-        return self._prediction.get("n_max", default)
+    def prediction_n_max(self) -> int:
+        return self._prediction.get("n_max", 10)
 
 
 def load_config(path) -> RunConfig:

@@ -23,14 +23,12 @@ __all__ = [
     "cross_fraction",
     "delta_beta_for_cross",
     "CouplerParams",
-    "CouplerState",
     "CouplerNode",
     "DemuxNetwork",
     "balanced_network",
     "cascade_network",
     "SwitchSchedule",
     "schedule_for_cycle",
-    "routing_matrix",
     "routing_by_bin",
     "switching_efficiency",
     "physical_nfold_scaling",
@@ -113,20 +111,6 @@ class CouplerParams:
         return {state: self.through_fraction(state) for state in self.state_voltages}
 
 
-@dataclass(frozen=True)
-class CouplerState:
-    """A coupler resolved to a single branching probability."""
-
-    coupler_id: str
-    splitting_ratio: float  # probability of the through branch
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.splitting_ratio <= 1.0:
-            raise DomainError(
-                f"splitting_ratio must lie in [0, 1], got {self.splitting_ratio!r}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # network
 # ---------------------------------------------------------------------------
@@ -147,6 +131,10 @@ class DemuxNetwork:
     """Rooted binary switch tree with output labels 1..n.
 
     Output labels must be exactly 1..n with no repeats and coupler ids unique.
+    coupler_ids lists the switches in pre-order (a switch before its
+    subtrees), and hops[output - 1, k] is +1 when the path to output goes
+    through switch coupler_ids[k], -1 when it crosses and 0 when it does not
+    pass that switch.
     """
 
     def __init__(self, root: CouplerNode):
@@ -161,6 +149,11 @@ class DemuxNetwork:
             )
         if len(set(self.coupler_ids)) != len(self.coupler_ids):
             raise ConfigError(f"duplicate coupler ids in {self.coupler_ids!r}")
+        column = {cid: k for k, cid in enumerate(self.coupler_ids)}
+        self.hops = np.zeros((len(labels), len(self.coupler_ids)), dtype=np.int8)
+        for output, path in self._paths.items():
+            for cid, branch in path:
+                self.hops[output - 1, column[cid]] = 1 if branch == "through" else -1
 
     def _walk(self, node: CouplerNode, prefix) -> None:
         if not isinstance(node, CouplerNode):
@@ -260,14 +253,13 @@ def cascade_network(n_outputs: int, prefix: str = "sw") -> DemuxNetwork:
 class SwitchSchedule:
     """Cyclic drive pattern: one state per coupler per time bin.
 
-    targets[k] is the output scheduled for bin k.  bin_duration_s, when set,
-    must equal the pump pulse period.
+    targets[k] is the output scheduled for bin k; each bin lasts one pump
+    pulse period.
     """
 
     period: int
     bins: tuple[Mapping[str, str], ...]
     targets: tuple[int, ...]
-    bin_duration_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.period < 1:
@@ -286,10 +278,7 @@ class SwitchSchedule:
 
 
 def schedule_for_cycle(
-    network: DemuxNetwork,
-    targets: Sequence[int] | None = None,
-    n_outputs: int | None = None,
-    bin_duration_s: float | None = None,
+    network: DemuxNetwork, targets: Sequence[int] | None = None
 ) -> SwitchSchedule:
     """Canonical cyclic schedule: bin k routes to targets[k] (default 1..n).
 
@@ -297,10 +286,6 @@ def schedule_for_cycle(
     their through branch and "off" otherwise; couplers off the path rest in
     "off" (the undriven, cross-favoring state).
     """
-    if n_outputs is not None and n_outputs != network.n_outputs:
-        raise ConfigError(
-            f"n_outputs {n_outputs} does not match the network's {network.n_outputs}"
-        )
     if targets is None:
         targets = tuple(range(1, network.n_outputs + 1))
     else:
@@ -313,64 +298,48 @@ def schedule_for_cycle(
         for cid, branch in network.path_to(target):
             assignment[cid] = "on" if branch == "through" else "off"
         bins.append(assignment)
-    return SwitchSchedule(
-        period=len(targets),
-        bins=tuple(bins),
-        targets=targets,
-        bin_duration_s=bin_duration_s,
-    )
+    return SwitchSchedule(period=len(targets), bins=tuple(bins), targets=targets)
 
 
 # ---------------------------------------------------------------------------
 # routing
 # ---------------------------------------------------------------------------
 
-def _through_fraction(states: Mapping, coupler_id: str) -> float:
-    value = states[coupler_id]
-    if isinstance(value, CouplerState):
-        value = value.splitting_ratio
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"through fraction for {coupler_id!r} outside [0, 1]: {value!r}")
-    return value
-
-
-def routing_matrix(network: DemuxNetwork, states: Mapping) -> np.ndarray:
-    """Output probability vector (index 0 is output 1) for fixed coupler states.
-
-    states maps coupler_id to a through-branch probability or a CouplerState.
-    The vector sums to 1: the tree redistributes but does not lose photons.
-    """
-    probs = np.zeros(network.n_outputs)
-    for output in range(1, network.n_outputs + 1):
-        p = 1.0
-        for cid, branch in network.path_to(output):
-            if cid not in states:
-                raise ConfigError(f"no state given for coupler {cid!r}")
-            f = _through_fraction(states, cid)
-            p *= f if branch == "through" else 1.0 - f
-        probs[output - 1] = p
-    return probs
-
-
-def _resolve_bin(schedule: SwitchSchedule, table: RatioTable, bin_index: int) -> dict[str, float]:
-    assignment = schedule.bins[bin_index % schedule.period]
-    resolved = {}
-    for cid, state in assignment.items():
-        try:
-            resolved[cid] = float(table[cid][state])
-        except KeyError:
-            raise ConfigError(f"no splitting ratio for coupler {cid!r} state {state!r}") from None
-    return resolved
-
-
 def routing_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table: RatioTable) -> np.ndarray:
-    """(period, n_outputs) matrix of routing probabilities, one row per bin."""
-    rows = [
-        routing_matrix(network, _resolve_bin(schedule, table, b))
-        for b in range(schedule.period)
-    ]
-    return np.vstack(rows)
+    """(period, n_outputs) matrix of routing probabilities, one row per bin.
+
+    An output's probability is the product along its root-to-leaf path of
+    each switch's through fraction, or its complement on a cross hop; table
+    maps coupler_id and drive state to the through fraction.  Each row sums
+    to 1: the tree redistributes but does not lose photons.
+    """
+    through = np.empty((schedule.period, len(network.coupler_ids)))
+    for b, assignment in enumerate(schedule.bins):
+        for k, cid in enumerate(network.coupler_ids):
+            if cid not in assignment:
+                raise ConfigError(f"no state given for coupler {cid!r}")
+            try:
+                through[b, k] = table[cid][assignment[cid]]
+            except KeyError:
+                raise ConfigError(
+                    f"no splitting ratio for coupler {cid!r} state {assignment[cid]!r}"
+                ) from None
+    bad = ~((through >= 0.0) & (through <= 1.0))
+    if bad.any():
+        b, k = np.argwhere(bad)[0]
+        raise DomainError(
+            f"through fraction for {network.coupler_ids[k]!r} outside [0, 1]: "
+            f"{float(through[b, k])!r}"
+        )
+    # factors[b, k, o]: switch k's share of output o's path in bin b, exactly 1
+    # off the path; pre-order puts every switch after its ancestors, so the
+    # loop multiplies each path root to leaf
+    f = through[:, :, None]
+    factors = np.where(network.hops.T > 0, f, np.where(network.hops.T < 0, 1.0 - f, 1.0))
+    rows = np.ones((schedule.period, network.n_outputs))
+    for factor in factors.transpose(1, 0, 2):
+        rows *= factor
+    return rows
 
 
 def switching_efficiency(

@@ -49,13 +49,16 @@ class FitResult:
         }
 
 
-def finite_difference_jacobian(residual_fn, x: np.ndarray, step: float = 1e-7) -> np.ndarray:
-    """Forward-difference Jacobian for models without an analytic one."""
+def finite_difference_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian for models without an analytic one.
+
+    Parameter j steps by 1e-7 * max(|x[j]|, 1).
+    """
     r0 = np.asarray(residual_fn(x), dtype=float)
     jac = np.empty((r0.size, x.size))
     for j in range(x.size):
         xs = x.copy()
-        h = step * max(abs(xs[j]), 1.0)
+        h = 1e-7 * max(abs(xs[j]), 1.0)
         xs[j] += h
         jac[:, j] = (np.asarray(residual_fn(xs), dtype=float) - r0) / h
     return jac

@@ -276,20 +276,15 @@ def predict_rates(config: PredictionConfig, n_values) -> list[RatePrediction]:
     ]
 
 
-def crossover_n(
-    config: PredictionConfig,
-    n_max: int = 10,
-    baseline: PredictionConfig | None = None,
-) -> int | None:
-    """Smallest n in [1, n_max] where the active scheme strictly beats the baseline.
+def crossover_n(config: PredictionConfig, n_max: int = 10) -> int | None:
+    """Smallest n in [1, n_max] where the active scheme strictly beats the passive one.
 
-    The baseline defaults to the passive scheme of the same configuration.
-    Returns None when the active scheme never wins within n_max.
+    Both schemes use the same configuration.  Returns None when the active
+    scheme never wins within n_max.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max!r}")
-    baseline = baseline if baseline is not None else config
     for n in range(1, n_max + 1):
-        if _active_rate(config, n).rate_hz > _probabilistic_rate(baseline, n).rate_hz:
+        if _active_rate(config, n).rate_hz > _probabilistic_rate(config, n).rate_hz:
             return n
     return None

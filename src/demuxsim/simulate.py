@@ -97,12 +97,6 @@ class SimConfig:
             raise DomainError(f"pump_power_uw must be >= 0, got {self.pump_power_uw!r}")
         if self.rng_seed is None:
             raise ConfigError("rng_seed is mandatory")
-        if self.schedule.bin_duration_s is not None:
-            period_s = 1.0 / self.emitter.pump_rate_hz
-            if not math.isclose(self.schedule.bin_duration_s, period_s, rel_tol=1e-9):
-                raise ConfigError(
-                    "schedule bin_duration_s must equal the pump pulse period"
-                )
 
     def resolved_pulse_count(self) -> int:
         if self.pulse_count is not None:

@@ -11,6 +11,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,24 +69,49 @@ class StreamMeta:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StreamMeta":
+        """Parse a sidecar, refusing any value no simulated run can produce."""
         if doc.get("format") != FORMAT_NAME:
             raise DataError(f"not a {FORMAT_NAME} sidecar: format={doc.get('format')!r}")
         if doc.get("format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported format_version {doc.get('format_version')!r}")
         try:
+            rate = doc["pump_rate_hz"]
+            if not (_is_int(rate) or isinstance(rate, float)) or not 0 < rate <= sys.float_info.max:
+                raise DataError(f"sidecar pump_rate_hz must be finite and > 0, got {rate!r}")
+            n_channels = _count(doc, "n_channels", 1)
+            period = _count(doc, "schedule_period", 1)
+            targets = doc["schedule_targets"]
+            if not isinstance(targets, list) or len(targets) != period:
+                raise DataError(
+                    f"sidecar schedule_targets must list schedule_period={period} outputs, "
+                    f"got {targets!r}"
+                )
+            if not all(_is_int(t) and 1 <= t <= n_channels for t in targets):
+                raise DataError(
+                    f"sidecar schedule_targets must be integers in 1..{n_channels}, got {targets!r}"
+                )
             return cls(
                 config_digest=doc["config_digest"],
-                pump_rate_hz=float(doc["pump_rate_hz"]),
-                pulse_period_ps=int(doc["pulse_period_ps"]),
-                pulse_count=int(doc["pulse_count"]),
-                n_channels=int(doc["n_channels"]),
-                schedule_period=int(doc["schedule_period"]),
-                schedule_targets=tuple(int(t) for t in doc["schedule_targets"]),
+                pump_rate_hz=float(rate),
+                pulse_period_ps=_count(doc, "pulse_period_ps", 1),
+                pulse_count=_count(doc, "pulse_count", 0),
+                n_channels=n_channels,
+                schedule_period=period,
+                schedule_targets=tuple(targets),
             )
         except KeyError as exc:
             raise DataError(f"sidecar is missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"sidecar field is not a number: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(doc: dict, key: str, minimum: int) -> int:
+    value = doc[key]
+    if not _is_int(value) or value < minimum:
+        raise DataError(f"sidecar {key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 class TimeTagStream:

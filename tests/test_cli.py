@@ -282,6 +282,32 @@ def test_exit_code_bad_pairs(tmp_path, simulated_stream, bright_config):
     assert code == 2
 
 
+@pytest.mark.parametrize("which", ["histograms", "nfold", "ratios"])
+def test_single_stream_analyses_refuse_extra_streams(tmp_path, simulated_stream, bright_config, which):
+    # the second stream used to be read and silently dropped, with exit 0;
+    # it is refused before anything is read, so a missing path is exit 2 too
+    for extra in (simulated_stream, tmp_path / "missing.tags"):
+        code = run(
+            ["analyze", "--config", bright_config, "--stream", simulated_stream,
+             "--stream", extra, "--which", which, "--out-dir", tmp_path / "out"]
+        )
+        assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_zero_pump_rate_sidecar(tmp_path, simulated_stream, bright_config):
+    # a zero pump rate used to crash nfold with a ZeroDivisionError traceback
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    doc = json.loads(side.read_text())
+    doc["pump_rate_hz"] = 0
+    side.write_text(json.dumps(doc))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "nfold", "--out-dir", tmp_path]
+    )
+    assert code == 3
+
+
 def test_exit_code_thin_saturation_data(tmp_path):
     data = tmp_path / "thin.csv"
     data.write_text("power_uw,rate_hz\n100,1.0\n200,2.0\n")

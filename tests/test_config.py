@@ -139,7 +139,6 @@ def test_simulation_pulse_duration_exclusivity():
 def test_schedule_section():
     rc = RunConfig(variant(schedule=None))
     assert rc.schedule.targets == (1, 2, 3, 4)
-    assert rc.schedule.bin_duration_s == pytest.approx(1.25e-8)
 
     rc = RunConfig(variant(schedule={"kind": "cyclic", "targets": [2, 4]}))
     assert rc.schedule.targets == (2, 4)
@@ -235,7 +234,7 @@ def test_prediction_overrides():
     cfg = rc.prediction_config()
     assert cfg.eta_dm == 0.78 and cfg.include_detectors
     assert not rc.prediction_config(include_detectors=False).include_detectors
-    assert rc.prediction_n_max(default=10) == 10
+    assert rc.prediction_n_max() == 10
     with pytest.raises(ConfigError, match="unknown key"):
         RunConfig(variant(prediction={"nmax": 5}))
 
@@ -316,6 +315,23 @@ def test_schedule_targets_must_be_outputs(kind, targets):
     sched = {"kind": kind, "targets": targets} | ({"bins": bins} if kind == "custom" else {})
     with pytest.raises(ConfigError, match="schedule.targets must be a list of outputs"):
         RunConfig(variant(schedule=sched))
+
+
+@pytest.mark.parametrize(
+    "bin_1",
+    [
+        {"sw1": "on", "sw2": "off"},  # sw3 unset: used to load and fail at routing
+        {"sw1": "on", "sw2": "off", "sw3": "off", "sw4": "on"},  # sw4 used to be ignored
+    ],
+    ids=["missing-coupler", "extra-coupler"],
+)
+def test_custom_schedule_bins_must_set_the_network_couplers(bin_1):
+    doc = variant()
+    doc["couplers"]["sw4"] = {"on": 0.9, "off": 0.1}
+    bins = [{"sw1": "on", "sw2": "on", "sw3": "off"}, bin_1]
+    doc["schedule"] = {"kind": "custom", "targets": [1, 2], "bins": bins}
+    with pytest.raises(ConfigError, match=r"schedule.bins\[1\] must set exactly"):
+        RunConfig(doc)
 
 
 def test_coupler_voltages_must_be_finite():

@@ -11,7 +11,6 @@ from demuxsim import (
     ConfigError,
     CouplerNode,
     CouplerParams,
-    CouplerState,
     DemuxNetwork,
     DomainError,
     balanced_network,
@@ -21,7 +20,6 @@ from demuxsim import (
     delta_beta_for_cross,
     physical_nfold_scaling,
     routing_by_bin,
-    routing_matrix,
     schedule_for_cycle,
     switching_efficiency,
 )
@@ -128,12 +126,6 @@ def test_physical_coupler_states():
         coupler.through_fraction("standby")
 
 
-def test_coupler_state_validates_ratio():
-    assert CouplerState("sw1", 0.9).splitting_ratio == 0.9
-    with pytest.raises(DomainError):
-        CouplerState("sw1", 1.2)
-
-
 # ---------------------------------------------------------------------------
 # topology
 # ---------------------------------------------------------------------------
@@ -145,6 +137,8 @@ def test_balanced_four_layout(net4):
     assert net4.path_to(2) == (("sw1", "through"), ("sw2", "cross"))
     assert net4.path_to(3) == (("sw1", "cross"), ("sw3", "through"))
     assert net4.path_to(4) == (("sw1", "cross"), ("sw3", "cross"))
+    # +1 through, -1 cross, 0 off the path; columns follow coupler_ids
+    np.testing.assert_array_equal(net4.hops, [[1, 1, 0], [1, -1, 0], [-1, 0, 1], [-1, 0, -1]])
 
 
 def test_balanced_eight_has_seven_switches():
@@ -213,8 +207,6 @@ def test_schedule_subset_and_validation(net4):
     with pytest.raises(ConfigError):
         schedule_for_cycle(net4, targets=(1, 9))
     with pytest.raises(ConfigError):
-        schedule_for_cycle(net4, n_outputs=8)
-    with pytest.raises(ConfigError):
         SwitchSchedule(period=2, bins=({"sw1": "on"},), targets=(1, 2))
     with pytest.raises(ConfigError):
         SwitchSchedule(
@@ -268,35 +260,87 @@ ratio_lists = st.lists(
 )
 
 
+def one_bin(fractions: dict):
+    """A one-bin schedule holding each coupler in a state "set" of the given fraction."""
+    schedule = SwitchSchedule(period=1, bins=({cid: "set" for cid in fractions},), targets=(1,))
+    return schedule, {cid: {"set": f} for cid, f in fractions.items()}
+
+
 @given(ratio_lists)
 def test_routing_conserves_probability(ratios):
     net = balanced_network(4)
-    states = {f"sw{k + 1}": r for k, r in enumerate(ratios)}
-    probs = routing_matrix(net, states)
+    (probs,) = routing_by_bin(net, *one_bin({f"sw{k + 1}": r for k, r in enumerate(ratios)}))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert (probs >= 0).all()
 
 
 def test_routing_accepts_coupler_states(net4):
-    states = {
-        "sw1": CouplerState("sw1", 1.0),
-        "sw2": CouplerState("sw2", 1.0),
-        "sw3": CouplerState("sw3", 0.0),
-    }
-    np.testing.assert_allclose(routing_matrix(net4, states), [1.0, 0.0, 0.0, 0.0])
+    schedule, table = one_bin({"sw1": 1.0, "sw2": 1.0, "sw3": 0.0})
+    np.testing.assert_array_equal(routing_by_bin(net4, schedule, table), [[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_routing_requires_every_coupler(net4):
-    with pytest.raises(ConfigError):
-        routing_matrix(net4, {"sw1": 0.9, "sw2": 0.9})
-    with pytest.raises(DomainError):
-        routing_matrix(net4, {"sw1": 1.5, "sw2": 0.9, "sw3": 0.9})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="no state given for coupler 'sw3'"):
+        routing_by_bin(net4, *one_bin({"sw1": 0.9, "sw2": 0.9}))
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(DomainError, match="'sw1' outside"):
+            routing_by_bin(net4, *one_bin({"sw1": bad, "sw2": 0.9, "sw3": 0.9}))
+    with pytest.raises(ConfigError, match="no splitting ratio for coupler 'sw3' state 'off'"):
         routing_by_bin(
             balanced_network(4),
             schedule_for_cycle(balanced_network(4)),
             {"sw1": {"on": 0.9, "off": 0.1}, "sw2": {"on": 0.9, "off": 0.1}, "sw3": {"on": 0.9}},
         )
+
+
+@st.composite
+def routed_trees(draw):
+    """A balanced, cascade or random custom tree, a three-state ratio table and a schedule."""
+    kind = draw(st.sampled_from(["balanced", "cascade", "custom"]))
+    if kind == "balanced":
+        net = balanced_network(draw(st.sampled_from([2, 4, 8, 16])))
+    elif kind == "cascade":
+        net = cascade_network(draw(st.integers(2, 9)))
+    else:
+        ids = iter(range(100))
+
+        def build(leaves):
+            if len(leaves) == 1:
+                return leaves[0]
+            k = draw(st.integers(1, len(leaves) - 1))
+            return CouplerNode(f"c{next(ids)}", build(leaves[:k]), build(leaves[k:]))
+
+        net = DemuxNetwork(build(draw(st.permutations(range(1, draw(st.integers(2, 12)) + 1)))))
+    states = ("on", "off", "mid")
+    fraction = st.floats(min_value=0.0, max_value=1.0)
+    table = {cid: {state: draw(fraction) for state in states} for cid in net.coupler_ids}
+    targets = draw(st.lists(st.integers(1, net.n_outputs), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        return net, schedule_for_cycle(net, targets), table
+    bins = tuple({cid: draw(st.sampled_from(states)) for cid in net.coupler_ids} for _ in targets)
+    return net, SwitchSchedule(period=len(targets), bins=bins, targets=tuple(targets)), table
+
+
+def path_walk_rows(net, schedule, table):
+    """Oracle: each output's hop fractions multiplied from the root to its leaf."""
+    rows = np.empty((schedule.period, net.n_outputs))
+    for b, assignment in enumerate(schedule.bins):
+        for output in range(1, net.n_outputs + 1):
+            p = 1.0
+            for cid, branch in net.path_to(output):
+                f = table[cid][assignment[cid]]
+                p *= f if branch == "through" else 1.0 - f
+            rows[b, output - 1] = p
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(routed_trees())
+def test_routing_is_the_exact_path_product(case):
+    net, schedule, table = case
+    rows = routing_by_bin(net, schedule, table)
+    assert np.array_equal(rows, path_walk_rows(net, schedule, table))
+    np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_switching_efficiency_of_measured_table(net4, sched4, table):

@@ -78,16 +78,6 @@ def test_pulse_count_duration_exclusivity():
         replace(base, pump_power_uw=-1.0)
 
 
-def test_schedule_bin_duration_must_match_pulse_period():
-    net = balanced_network(4)
-    good = schedule_for_cycle(net, bin_duration_s=1.25e-8)
-    cfg = make_bright_sim(brightness=0.1, pulses=10, seed=1)
-    assert replace(cfg, schedule=good).schedule.bin_duration_s == 1.25e-8
-    bad = schedule_for_cycle(net, bin_duration_s=2e-8)
-    with pytest.raises(ConfigError):
-        replace(cfg, schedule=bad)
-
-
 def test_emission_probability_follows_saturation():
     emitter = EmitterParams(
         pump_rate_hz=80e6, saturation_power_uw=348.0, max_brightness=0.030062

@@ -203,6 +203,66 @@ def test_malformed_sidecar_is_data_error(tmp_path, corrupt):
         read_stream(path)
 
 
+IMPOSSIBLE_SIDECAR_VALUES = [
+    ("pump_rate_hz", 0),  # analyze --which nfold divided by zero
+    ("pump_rate_hz", -8.0e7),  # negative rates came out as rate_hz=-0
+    ("pump_rate_hz", float("nan")),
+    ("pump_rate_hz", float("inf")),
+    ("pump_rate_hz", 10**400),  # finite as an integer, not as a float
+    ("pump_rate_hz", "8e7"),
+    ("pulse_period_ps", 0),
+    ("pulse_period_ps", -12500),
+    ("pulse_period_ps", 12500.9),  # used to be truncated to 12500
+    ("pulse_count", -1),
+    ("pulse_count", 1.5),
+    ("n_channels", 0),
+    ("n_channels", 4.5),
+    ("schedule_period", 3),  # 4 targets; nfold_1_2_3.json was written
+    ("schedule_period", 5),
+    ("schedule_targets", [1, 2, 3, 5]),
+    ("schedule_targets", [0, 1, 2, 3]),
+    ("schedule_targets", [1, 2, 3, 4.5]),
+    ("schedule_targets", [1, 2, 3, True]),
+    ("schedule_targets", [1, 2, 3, "4"]),
+    ("schedule_targets", "1234"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    IMPOSSIBLE_SIDECAR_VALUES,
+    ids=[f"{field}={value!r}" for field, value in IMPOSSIBLE_SIDECAR_VALUES],
+)
+def test_sidecar_impossible_values_are_data_errors(tmp_path, field, value):
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, 0), (2, 3)]), path)
+    side = sidecar_path(path)
+    doc = json.loads(side.read_text())
+    doc[field] = value
+    side.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=field):
+        read_stream(path)
+
+
+def test_sidecar_needs_a_scheduled_bin(tmp_path):
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([]), path)
+    side = sidecar_path(path)
+    doc = json.loads(side.read_text())
+    doc.update(schedule_period=0, schedule_targets=[])
+    side.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="schedule"):
+        read_stream(path)
+
+
+def test_sidecar_accepts_partial_and_permuted_schedules(tmp_path):
+    for targets in ((1,), (3, 1), (4, 2, 3, 1, 2)):
+        path = tmp_path / "run.tags"
+        stream = make_stream([(1, 0)], pulse_count=0, targets=targets)
+        write_stream(stream, path)
+        assert read_stream(path) == stream
+
+
 @pytest.mark.parametrize(
     "meta_kwargs", [{"pulse_count": 500}, {"n_channels": 8}, {"targets": (2, 1, 4, 3)}]
 )
