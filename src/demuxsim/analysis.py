@@ -85,10 +85,11 @@ def pair_histograms(
     """Histograms of t_b - t_a over +-max_delay_bins for every (a, b) in pairs.
 
     Returns one CoincidenceHistogram per pair, in the order given, binned at
-    the pulse period.  All pairs come from one pass over the stream: for each
-    delay d >= 0 one joint count of (channel mask at pulse p, channel mask at
-    pulse p + d) serves every pair, and negative delays are its transpose.
-    Working memory scales with the number of records, not the pulse count.
+    the pulse period.  All pairs come from one pass over the stream in chunks
+    of records: for each delay d >= 0, one joint count of (record channel,
+    channel mask at the record's pulse + d) serves every pair, and negative
+    delays are its transpose.  The chunks keep every temporary in cache;
+    working memory scales with the number of records, not the pulse count.
     """
     pairs = [(int(a), int(b)) for a, b in pairs]
     if max_delay_bins < 0:
@@ -97,23 +98,25 @@ def pair_histograms(
         raise DomainError("channel_a and channel_b must differ")
     _check_channels(stream, [c for pair in pairs for c in pair])
     slots, masks = _occupancy(stream, max_delay_bins)
-    width = 8 * masks.shape[0]
-    # counts[d, i, j]: pulses p with channel i + 1 at p and channel j + 1 at p + d
-    counts = np.zeros((max_delay_bins + 1, width, width), dtype=np.int64)
-    words = {((a - 1) >> 3, (b - 1) >> 3) for a, b in pairs}
-    words |= {(wb, wa) for wa, wb in words}
-    keys = np.empty(slots.size, dtype=np.intp)
-    for wa in sorted({wa for wa, _ in words}):
-        first = masks[wa].take(slots)
-        fired = first != 0
-        at = slots[fired]
-        high = first[fired].astype(np.uint16) << np.uint16(8)
-        key = keys[: at.size]
-        for wb in sorted(wb for w, wb in words if w == wa):
+    n = stream.meta.n_channels
+    words = sorted({(c - 1) >> 3 for pair in pairs for c in pair})
+    # tables[d, i, (c << 8) | m]: records of channel c + 1 whose pulse + d has
+    # channel-mask byte m in word words[i]
+    tables = np.zeros((max_delay_bins + 1, len(words), n << 8), dtype=np.int64)
+    for start in range(0, slots.size, _CHUNK_RECORDS):
+        at = slots[start : start + _CHUNK_RECORDS]
+        high = stream.channels[start : start + _CHUNK_RECORDS].astype(np.intp)
+        high -= 1
+        high <<= 8
+        key = np.empty_like(high)
+        for i, w in enumerate(words):
             for d in range(max_delay_bins + 1):
-                np.bitwise_or(high, masks[wb, d:].take(at), out=key)
-                joint = np.bincount(key, minlength=1 << 16).reshape(256, 256)
-                counts[d, 8 * wa : 8 * wa + 8, 8 * wb : 8 * wb + 8] = _BITS.T @ joint @ _BITS
+                np.bitwise_or(high, masks[w, d:].take(at), out=key)
+                tables[d, i] += np.bincount(key, minlength=n << 8)
+    # counts[d, a, b]: records of channel a + 1 with channel b + 1 at pulse + d
+    counts = np.zeros((max_delay_bins + 1, n, 8 * masks.shape[0]), dtype=np.int64)
+    for i, w in enumerate(words):
+        counts[:, :, 8 * w : 8 * w + 8] = tables[:, i].reshape(-1, n, 256) @ _BITS
     delays = np.arange(-max_delay_bins, max_delay_bins + 1, dtype=np.int64)
     period_s = stream.meta.pulse_period_ps * 1e-12
     return [
@@ -128,6 +131,10 @@ def pair_histograms(
     ]
 
 
+# records per chunk of the histogram and n-fold loops: small enough that a
+# chunk's temporaries stay in cache, large enough that loop overhead is small
+_CHUNK_RECORDS = 1 << 16
+
 # _BITS[m, k] is bit k of the byte m: it reduces joint counts of channel-mask
 # bytes to counts of channel pairs
 _BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.int64)
@@ -141,37 +148,31 @@ def _check_channels(stream: TimeTagStream, channels: Sequence[int]) -> None:
 
 
 def _occupancy(stream: TimeTagStream, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stream's occupied pulses as slots, and a channel bitmask per slot.
+    """Every record's pulse as a slot, and a channel bitmask per slot.
 
     Every gap between occupied pulses longer than horizon is shortened to
     horizon + 1, so pulses up to horizon apart keep their separation and
-    farther ones stay farther apart than horizon.  slots[i] is the slot of the
-    i-th occupied pulse.  Bit k of masks[w, s] is set when channel 8*w + k + 1
-    has a record in slot s; horizon empty slots past the last one let every
-    lookup at slot + delay stay in range.  Both arrays are O(records).
+    farther ones stay farther apart than horizon.  slots[i] is the slot of
+    record i.  Bit k of masks[w, s] is set when channel 8*w + k + 1 has a
+    record in slot s; horizon empty slots past the last one let every lookup
+    at slot + delay stay in range.  Both arrays are O(records).
     """
     pulses = stream.pulse_indices
     words = -(-stream.meta.n_channels // 8)
     if pulses.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros((words, horizon + 1), dtype=np.uint8)
-    new = np.empty(pulses.size, dtype=bool)
-    new[0] = True
-    np.not_equal(pulses[1:], pulses[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    slots = pulses[starts]
-    del new, pulses  # the largest temporaries; peak memory matters on bright runs
-    gaps = np.diff(slots)
-    np.minimum(gaps, horizon + 1, out=gaps)
+        return pulses, np.zeros((words, horizon + 1), dtype=np.uint8)
+    slots = np.empty_like(pulses)
     slots[0] = 0
+    gaps = np.diff(pulses)
+    del pulses  # peak memory matters on bright runs
+    np.minimum(gaps, horizon + 1, out=gaps)
     np.cumsum(gaps, out=slots[1:])
     del gaps
     masks = np.zeros((words, int(slots[-1]) + 1 + horizon), dtype=np.uint8)
     index = stream.channels - np.uint32(1)
     bits = np.left_shift(np.uint8(1), (index & np.uint32(7)).astype(np.uint8))
-    word = index >> np.uint32(3)
-    for w in range(words):
-        # records of one pulse are adjacent and name distinct channels
-        masks[w, slots] = np.bitwise_or.reduceat(np.where(word == w, bits, np.uint8(0)), starts)
+    flat = slots if words == 1 else slots + (index >> np.uint32(3)).astype(np.intp) * masks.shape[1]
+    np.bitwise_or.at(masks.reshape(-1), flat, bits)
     return slots, masks
 
 
@@ -244,13 +245,18 @@ def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
     span = max(schedule_delays) - min(schedule_delays)
     _check_channels(stream, channels)
     lead = min(schedule_delays)
-    # candidates are occupied slots, read as the pulse of the channel scheduled
-    # first; an event keeps every channel firing at its offset from that pulse
-    hits, masks = _occupancy(stream, span)
-    for ch, d in zip(channels, schedule_delays):
-        word, bit = divmod(ch - 1, 8)
-        hits = hits[masks[word].take(hits + (d - lead)) & np.uint8(1 << bit) != 0]
-    count = int(hits.size)
+    # candidates are the records of the channel scheduled first; an event keeps
+    # every channel firing at its offset from that record's pulse
+    slots, masks = _occupancy(stream, span)
+    starts = slots[stream.channels == channels[schedule_delays.index(lead)]]
+    del slots
+    count = 0
+    for start in range(0, starts.size, _CHUNK_RECORDS):
+        hits = starts[start : start + _CHUNK_RECORDS]
+        for ch, d in zip(channels, schedule_delays):
+            word, bit = divmod(ch - 1, 8)
+            hits = hits[masks[word].take(hits + (d - lead)) & np.uint8(1 << bit) != 0]
+        count += hits.size
     return NFoldCounts(
         n=len(channels),
         channels=channels,

@@ -110,6 +110,13 @@ def _check_compatibility(rc: RunConfig, stream) -> None:
             f"(stream digest {stream.meta.config_digest[:12]}..., "
             f"config digest {digest[:12]}...)"
         )
+    # the digest covers the network, so a mismatch means a corrupt sidecar;
+    # refused before any analysis sizes an array by the channel count
+    if stream.meta.n_channels != rc.network.n_outputs:
+        raise DataError(
+            f"stream sidecar n_channels={stream.meta.n_channels}, but the configured "
+            f"network has {rc.network.n_outputs} outputs"
+        )
 
 
 def _schedule_for_stream(rc: RunConfig, stream):

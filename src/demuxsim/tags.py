@@ -90,11 +90,18 @@ class StreamMeta:
                 raise DataError(
                     f"sidecar schedule_targets must be integers in 1..{n_channels}, got {targets!r}"
                 )
+            pulse_period = _count(doc, "pulse_period_ps", 1)
+            pulse_count = _count(doc, "pulse_count", 0)
+            if max(pulse_count, 1) * pulse_period >= 2**63:  # pulse_indices are int64
+                raise DataError(
+                    f"sidecar pulse_count*pulse_period_ps must fit in int64, got "
+                    f"{pulse_count}*{pulse_period}"
+                )
             return cls(
                 config_digest=doc["config_digest"],
                 pump_rate_hz=float(rate),
-                pulse_period_ps=_count(doc, "pulse_period_ps", 1),
-                pulse_count=_count(doc, "pulse_count", 0),
+                pulse_period_ps=pulse_period,
+                pulse_count=pulse_count,
                 n_channels=n_channels,
                 schedule_period=period,
                 schedule_targets=tuple(targets),
@@ -155,7 +162,8 @@ class TimeTagStream:
 
     @property
     def pulse_indices(self) -> np.ndarray:
-        return (self.timestamps_ps // np.uint64(self.meta.pulse_period_ps)).astype(np.int64)
+        # a view: the values astype(np.int64) gives, without a copy of every record
+        return (self.timestamps_ps // np.uint64(self.meta.pulse_period_ps)).view(np.int64)
 
     def singles_counts(self) -> np.ndarray:
         """Per-channel record counts, index 0 = channel 1."""
@@ -204,8 +212,16 @@ def write_csv(stream: TimeTagStream, path) -> None:
     path = Path(path)
     with path.open("w") as fh:
         fh.write("channel,timestamp_ps\n")
-        for ch, ts in zip(stream.channels, stream.timestamps_ps):
-            fh.write(f"{int(ch)},{int(ts)}\n")
+        for start in range(0, len(stream), _CSV_CHUNK_RECORDS):
+            rows = slice(start, start + _CSV_CHUNK_RECORDS)
+            fields = np.column_stack([stream.channels[rows], stream.timestamps_ps[rows]])
+            fh.write(("%d,%d\n" * len(fields)) % tuple(fields.ravel().tolist()))
+
+
+# records per write_csv chunk: one %-format over a chunk's Python ints is
+# several times faster than a format call per record, and a chunk bounds the
+# text held at once
+_CSV_CHUNK_RECORDS = 1 << 16
 
 
 def read_csv(path, meta: StreamMeta) -> TimeTagStream:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from demuxsim import (
     schedule_for_cycle,
     switching_efficiency,
 )
+from demuxsim import analysis
 from demuxsim.analysis import CoincidenceHistogram
 
 from conftest import ETA_DM_TABLE, TABLE_RATIOS
@@ -269,6 +271,95 @@ def test_count_nfold_matches_set_intersection(case):
         {p - targets.index(ch) for c, p in events if c == ch} for ch in channels
     ]
     assert count_nfold(stream, channels).count == len(set.intersection(*slots))
+
+
+# ---------------------------------------------------------------------------
+# chunk boundaries
+# ---------------------------------------------------------------------------
+
+CHUNK_SIZES = [1, 2, 3, 7]
+
+# channels 9..12 and 5, 6, 8 never fire; the run of pulses 3..6 makes every
+# delay up to 6 reach records of later chunks, pulses 3 and 4 hold three
+# records each, so every chunk size splits one of them (checked below), and
+# the (1, 2) pairs from pulse 40 on put n-fold events on every chunk edge
+EDGE_EVENTS = [
+    (1, 0), (2, 1),
+    (1, 3), (2, 3), (3, 3),
+    (2, 4), (4, 4), (7, 4),
+    (1, 5), (3, 6), (2, 30), (1, 31), (3, 33),
+] + [(ch, p + ch - 1) for p in range(40, 56, 2) for ch in (1, 2)]
+
+
+def edge_stream():
+    return make_stream(EDGE_EVENTS, targets=tuple(range(1, 13)), n_channels=12)
+
+
+@contextmanager
+def chunked(chunk):
+    """A context in which the analysis loops walk chunks of chunk records."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_CHUNK_RECORDS", chunk)
+        yield
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_edge_events_split_a_pulse_at_a_chunk_edge(chunk):
+    pulses = sorted(p for _, p in EDGE_EVENTS)
+    assert any(pulses[k - 1] == pulses[k] for k in range(chunk, len(pulses), chunk))
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_pair_histograms_across_chunk_edges(chunk):
+    stream = edge_stream()
+    pairs = [(a, b) for a in range(1, 13) for b in range(1, 13) if a != b]
+    with chunked(chunk):
+        hists = pair_histograms(stream, pairs, 6)
+    for (a, b), hist in zip(pairs, hists):
+        np.testing.assert_array_equal(hist.counts, pairwise_oracle(EDGE_EVENTS, a, b, 6))
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_count_nfold_across_chunk_edges(chunk):
+    stream = edge_stream()
+    with chunked(chunk):
+        for channels in [(1, 2), (2, 1), (1, 2, 3), (2, 3), (1, 4, 7), (3, 4), (1, 5), (9, 10)]:
+            slots = [{p - (ch - 1) for c, p in EDGE_EVENTS if c == ch} for ch in channels]
+            assert count_nfold(stream, channels).count == len(set.intersection(*slots))
+        assert count_nfold(stream, (1, 2)).count == 10  # pulses 0, 3 and 40, 42, ..., 54
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_empty_stream_across_chunk_sizes(chunk):
+    stream = make_stream([], n_channels=12, targets=tuple(range(1, 13)))
+    with chunked(chunk):
+        (hist,) = pair_histograms(stream, [(1, 12)], 3)
+        assert count_nfold(stream, (1, 12)).count == 0
+    np.testing.assert_array_equal(hist.counts, np.zeros(7, dtype=np.int64))
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@settings(max_examples=25, deadline=None)
+@given(wide=wide_streams(), max_delay=st.integers(min_value=0, max_value=10))
+def test_chunked_pair_histograms_match_pairwise_enumeration(chunk, wide, max_delay):
+    n, events = wide
+    stream = make_stream(events, n_channels=n)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    with chunked(chunk):
+        hists = pair_histograms(stream, pairs, max_delay)
+    for (a, b), hist in zip(pairs, hists):
+        np.testing.assert_array_equal(hist.counts, pairwise_oracle(events, a, b, max_delay))
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@settings(max_examples=25, deadline=None)
+@given(case=scheduled_events())
+def test_chunked_count_nfold_matches_set_intersection(chunk, case):
+    targets, events, channels = case
+    stream = make_stream(events, targets=targets, n_channels=len(targets))
+    slots = [{p - targets.index(ch) for c, p in events if c == ch} for ch in channels]
+    with chunked(chunk):
+        assert count_nfold(stream, channels).count == len(set.intersection(*slots))
 
 
 def test_count_nfold_validation():

@@ -333,3 +333,36 @@ def test_argparse_rejects_unknown_command():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         cli.main(["analyze", "--config", "x"])  # missing required --stream/--which
+
+
+def test_exit_code_overflowing_pulse_period_sidecar(tmp_path, simulated_stream, bright_config):
+    # pulse_indices' uint64 cast used to end nfold with an OverflowError traceback
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    doc = json.loads(side.read_text())
+    doc["pulse_period_ps"] = 2**70
+    side.write_text(json.dumps(doc))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "nfold", "--out-dir", tmp_path / "out"]
+    )
+    assert code == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_channels", [5, 16])
+@pytest.mark.parametrize("which", ["histograms", "nfold", "ratios"])
+def test_exit_code_sidecar_channel_count_differs_from_network(
+    tmp_path, simulated_stream, bright_config, which, n_channels
+):
+    # the digest matches, so the stream used to be analysed as a 5- or
+    # 16-channel run of a 4-output tree, with exit 0
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    doc = json.loads(side.read_text())
+    doc["n_channels"] = n_channels
+    side.write_text(json.dumps(doc))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", which, "--out-dir", tmp_path / "out"]
+    )
+    assert code == 3
+    assert not (tmp_path / "out").exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from demuxsim import tags
 from demuxsim import (
     DataError,
     StreamMeta,
@@ -63,6 +64,29 @@ def test_csv_round_trip(tmp_path_factory, events):
     write_csv(stream, path)
     again = read_csv(path, stream.meta)
     assert again == stream
+
+
+def per_record_csv(stream) -> bytes:
+    """The CSV as the old writer made it, one f-string per record."""
+    rows = [f"{int(ch)},{int(ts)}\n" for ch, ts in zip(stream.channels, stream.timestamps_ps)]
+    return ("channel,timestamp_ps\n" + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+@pytest.mark.parametrize("records", [0, 1, 7, (1 << 16) + 5])
+def test_write_csv_bytes_match_per_record_writer(tmp_path, monkeypatch, chunk, records):
+    monkeypatch.setattr(tags, "_CSV_CHUNK_RECORDS", chunk)
+    rng = np.random.default_rng(records)
+    # widest fields: channel 2**32 - 1 and timestamps up to the last u64 pulse
+    pulses = np.sort(rng.integers(0, (2**64 - 1) // PERIOD_PS, size=records, dtype=np.uint64))
+    pulses[-1:] = (2**64 - 1) // PERIOD_PS
+    channels = rng.integers(1, 2**32, size=records, dtype=np.uint32)
+    channels[:1] = 2**32 - 1
+    meta = make_meta(pulse_count=2**63 // PERIOD_PS, n_channels=2**32 - 1)
+    stream = TimeTagStream(channels, pulses * np.uint64(PERIOD_PS), meta)
+    path = tmp_path / "run.csv"
+    write_csv(stream, path)
+    assert path.read_bytes() == per_record_csv(stream)
 
 
 def test_binary_layout_is_columnar_little_endian(tmp_path):
@@ -213,7 +237,10 @@ IMPOSSIBLE_SIDECAR_VALUES = [
     ("pulse_period_ps", 0),
     ("pulse_period_ps", -12500),
     ("pulse_period_ps", 12500.9),  # used to be truncated to 12500
+    ("pulse_period_ps", 2**70),  # pulse_indices raised OverflowError
+    ("pulse_period_ps", 2**63 // 1000 + 1),  # 1000 pulses overrun int64
     ("pulse_count", -1),
+    ("pulse_count", 2**63 // PERIOD_PS + 1),
     ("pulse_count", 1.5),
     ("n_channels", 0),
     ("n_channels", 4.5),
@@ -253,6 +280,20 @@ def test_sidecar_needs_a_scheduled_bin(tmp_path):
     side.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="schedule"):
         read_stream(path)
+
+
+def test_sidecar_run_must_fit_int64_pulse_indices(tmp_path):
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([], pulse_count=0), path)
+    side = sidecar_path(path)
+    doc = json.loads(side.read_text())
+    doc["pulse_period_ps"] = 2**63  # too long a period even for no pulses
+    side.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="pulse_period_ps"):
+        read_stream(path)
+    doc.update(pulse_count=1, pulse_period_ps=2**63 - 1)  # the longest run that fits
+    side.write_text(json.dumps(doc))
+    assert read_stream(path).meta.pulse_period_ps == 2**63 - 1
 
 
 def test_sidecar_accepts_partial_and_permuted_schedules(tmp_path):
