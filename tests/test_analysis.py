@@ -362,6 +362,178 @@ def test_chunked_count_nfold_matches_set_intersection(chunk, case):
         assert count_nfold(stream, channels).count == len(set.intersection(*slots))
 
 
+# ---------------------------------------------------------------------------
+# bitset and record kernels
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def kernel(name):
+    """A context in which pair_histograms uses the named kernel on any stream."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_GATHER_COST", math.inf if name == "dense" else 0.0)
+        yield
+
+
+@contextmanager
+def blocks(words):
+    """A context in which the bitset loops walk blocks of words words."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_BLOCK_WORDS", words)
+        yield
+
+
+KERNELS = ["dense", "sparse"]
+BLOCK_SIZES = [1, 2, 3]
+WORD_EDGE_DELAYS = [0, 63, 64, 65, 130]
+
+# records on both sides of the first three word edges (slots 63/64, 127/128,
+# 191/192); pulse 0 anchors slot 0, and no gap exceeds 131 pulses, so every
+# pulse is its own slot for every delay in WORD_EDGE_DELAYS
+WORD_EDGE_EVENTS = [(1, 0), (3, 1)] + [
+    (ch, p) for p in (62, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256)
+    for ch in (1, 2, 3) if (p + ch) % 3
+]
+
+
+@pytest.mark.parametrize("words", BLOCK_SIZES)
+@pytest.mark.parametrize("max_delay", WORD_EDGE_DELAYS)
+@pytest.mark.parametrize("name", KERNELS)
+def test_pair_histograms_at_word_edges(name, max_delay, words):
+    stream = make_stream(WORD_EDGE_EVENTS, pulse_count=400)
+    pairs = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+    with kernel(name), blocks(words):
+        hists = pair_histograms(stream, pairs, max_delay)
+    for (a, b), hist in zip(pairs, hists):
+        expected = pairwise_oracle(WORD_EDGE_EVENTS, a, b, max_delay)
+        np.testing.assert_array_equal(hist.counts, expected)
+
+
+@pytest.mark.parametrize("words", BLOCK_SIZES)
+@pytest.mark.parametrize("offset", [0, 63, 64, 65])
+def test_count_nfold_shifts_across_word_edges(offset, words):
+    # 70 outputs, so schedule delays reach past one 64-slot word
+    targets = tuple(range(1, 71))
+    events = WORD_EDGE_EVENTS + [(70, p + 69) for p in (0, 63, 64, 128, 192, 256)]
+    events += [(offset + 1, p + offset) for p in (1, 64, 65, 127, 192, 193)]
+    events = sorted(set(events))
+    stream = make_stream(events, targets=targets, pulse_count=400, n_channels=70)
+    with blocks(words):
+        for channels in [(1, 70), (1, 2, 70), (offset + 1, 70), (3, 1, 70)]:
+            slots = [{p - (ch - 1) for c, p in events if c == ch} for ch in channels]
+            assert count_nfold(stream, channels).count == len(set.intersection(*slots))
+        assert count_nfold(stream, (offset + 1, 70)).count >= 2  # slots 64 and 192
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("words", BLOCK_SIZES)
+@settings(max_examples=20, deadline=None)
+@given(
+    wide=wide_streams(),
+    max_delay=st.sampled_from(WORD_EDGE_DELAYS + [1, 7]),
+    chunk=st.sampled_from(CHUNK_SIZES),
+)
+def test_kernels_match_pairwise_enumeration(name, words, wide, max_delay, chunk):
+    n, events = wide
+    stream = make_stream(events, n_channels=n)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    with kernel(name), blocks(words), chunked(chunk):
+        hists = pair_histograms(stream, pairs, max_delay)
+        (one,) = pair_histograms(stream, pairs[-1:], max_delay)
+    for (a, b), hist in zip(pairs, hists):
+        np.testing.assert_array_equal(hist.counts, pairwise_oracle(events, a, b, max_delay))
+    np.testing.assert_array_equal(one.counts, hists[-1].counts)
+
+
+@pytest.mark.parametrize("words", BLOCK_SIZES)
+@settings(max_examples=30, deadline=None)
+@given(case=scheduled_events(), chunk=st.sampled_from(CHUNK_SIZES))
+def test_blocked_count_nfold_matches_set_intersection(words, case, chunk):
+    targets, events, channels = case
+    stream = make_stream(events, targets=targets, n_channels=len(targets))
+    slots = [{p - targets.index(ch) for c, p in events if c == ch} for ch in channels]
+    with blocks(words), chunked(chunk):
+        assert count_nfold(stream, channels).count == len(set.intersection(*slots))
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_no_pairs_give_no_histograms(name):
+    for stream in (edge_stream(), make_stream([], n_channels=12, targets=tuple(range(1, 13)))):
+        with kernel(name):
+            assert pair_histograms(stream, [], 3) == []
+
+
+def dense_stream(n_pulses, n_channels, p, seed):
+    """Every channel fires on each pulse with probability p."""
+    rng = np.random.default_rng(seed)
+    pulses, rows = np.nonzero(rng.random((n_pulses, n_channels)) < p)
+    meta = StreamMeta(
+        config_digest="t" * 64,
+        pump_rate_hz=8.0e7,
+        pulse_period_ps=PERIOD_PS,
+        pulse_count=n_pulses,
+        n_channels=n_channels,
+        schedule_period=n_channels,
+        schedule_targets=tuple(range(1, n_channels + 1)),
+    )
+    return TimeTagStream(rows + 1, pulses.astype(np.uint64) * PERIOD_PS, meta)
+
+
+def test_kernel_follows_stream_density(monkeypatch):
+    picked = []
+    for name in KERNELS:
+        real = getattr(analysis, f"_{name}_pair_counts")
+        monkeypatch.setattr(
+            analysis, f"_{name}_pair_counts",
+            lambda *args, name=name, real=real: picked.append(name) or real(*args),
+        )
+    pairs = [(1, 2), (3, 4)]
+    pair_histograms(dense_stream(20_000, 4, 0.3, seed=1), pairs, 12)
+    pair_histograms(dense_stream(20_000, 4, 0.001, seed=1), pairs, 12)
+    assert picked == ["dense", "sparse"]
+
+
+def test_dense_analysis_holds_no_whole_stream_array():
+    stream = dense_stream(500_000, 4, 0.5, seed=2)
+    whole = 8 * len(stream)  # bytes of one int64 per record
+    assert len(stream) > 900_000
+    pairs = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    tracemalloc.start()
+    try:
+        hists = pair_histograms(stream, pairs, 12)
+        nfold = count_nfold(stream, (1, 2, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 2
+    with kernel("sparse"):
+        for hist, ref in zip(hists, pair_histograms(stream, pairs, 12)):
+            np.testing.assert_array_equal(hist.counts, ref.counts)
+    fires = np.zeros((500_000 + 3, 4), dtype=bool)
+    fires[stream.pulse_indices, stream.channels - 1] = True
+    assert nfold.count == np.sum(fires[:-3, 0] & fires[1:-2, 1] & fires[2:-1, 2] & fires[3:, 3])
+
+
+def off_grid_stream():
+    # two records per channel, 1 ps apart: the same pulse, but not one record
+    return TimeTagStream(
+        np.array([1, 1, 2, 2], dtype=np.uint32),
+        np.array([0, 1, PERIOD_PS, PERIOD_PS + 1], dtype=np.uint64),
+        make_stream([]).meta,
+    )
+
+
+def test_off_grid_timestamps_are_refused():
+    # such records used to be counted by whichever rule the code happened to use
+    stream = off_grid_stream()
+    with pytest.raises(DataError, match="pulse period"):
+        pair_histograms(stream, [(1, 2)], 1)
+    with pytest.raises(DataError, match="pulse period"):
+        count_nfold(stream, (1, 2))
+    for name in KERNELS:
+        with kernel(name), pytest.raises(DataError, match="pulse period"):
+            pair_histograms(stream, [(2, 1)], 1)
+
+
 def test_count_nfold_validation():
     stream = make_stream([(1, 0), (2, 1)])
     with pytest.raises(DomainError):

@@ -366,3 +366,17 @@ def test_exit_code_sidecar_channel_count_differs_from_network(
     )
     assert code == 3
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["histograms", "nfold", "ratios"])
+def test_exit_code_off_grid_timestamp(tmp_path, simulated_stream, bright_config, which):
+    # the last record 1 ps past its pulse used to be counted on that pulse
+    raw = bytearray(simulated_stream.read_bytes())
+    last = np.frombuffer(raw[-8:], dtype="<u8") + np.uint64(1)
+    raw[-8:] = last.tobytes()
+    simulated_stream.write_bytes(bytes(raw))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", which, "--out-dir", tmp_path / "out"]
+    )
+    assert code == 3
