@@ -89,8 +89,8 @@ def pair_histograms(
     channels they name, of counts[d, a, b]: pulse slots where channel a fires
     and channel b fires d pulses later, for d >= 0; negative delays are its
     transpose.  Dense streams count 64 slots at a time in per-channel bitsets,
-    sparse ones look partners up record by record.  Working memory scales
-    with the number of records, not the pulse count.
+    sparse ones walk each record's neighbours in slot order.  Working memory
+    scales with the number of records, not the pulse count.
     """
     pairs = [(int(a), int(b)) for a, b in pairs]
     if max_delay_bins < 0:
@@ -101,10 +101,11 @@ def pair_histograms(
     channels = sorted({c for pair in pairs for c in pair})
     row = {c: i for i, c in enumerate(channels)}
     k = len(channels)
-    # a bitset kernel makes k*k word operations per 64 slots and delay, the
-    # record kernel one gather per record, mask byte and delay
-    dense = k * k * _slot_bound(stream, max_delay_bins) / 64 < (
-        _GATHER_COST * len(stream) * -(-k // 8)
+    # the bitset kernel makes k*k word operations per 64 slots and delay, the
+    # neighbour walk a few gathers per record and per record pair in range
+    records, width = len(stream), max_delay_bins + 1
+    dense = k * k * _slot_bound(stream, max_delay_bins) * width / 64 < (
+        _GATHER_COST * records * (1 + records * width / max(_span(stream), 1))
     )
     kernel = _dense_pair_counts if dense else _sparse_pair_counts
     counts = kernel(stream, channels, max_delay_bins)
@@ -133,15 +134,11 @@ _CHUNK_RECORDS = 1 << 16
 # the uint32 sums
 _BLOCK_WORDS = 1 << 12
 
-# word operations that cost as much as one gather of the record kernel: on
-# random streams of 1e6 pulses and 4, 8 or 16 channels the two kernels took
-# equal times where the bitset kernel's modelled work was 1.3 to 3.3 times
-# the record kernel's
-_GATHER_COST = 2.0
-
-# _BITS[m, k] is bit k of the byte m: it reduces joint counts of channel-mask
-# bytes to counts of channel pairs
-_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.int64)
+# word operations that cost as much as one gather of the neighbour walk: on
+# random streams of 1e6 pulses, 4, 8 or 16 channels and delays of +-12 or
+# +-64, the two kernels took equal times where the bitset kernel's modelled
+# work was 8 to 13 times the neighbour walk's
+_GATHER_COST = 10.0
 
 
 def _check_channels(stream: TimeTagStream, channels: Sequence[int]) -> None:
@@ -151,17 +148,21 @@ def _check_channels(stream: TimeTagStream, channels: Sequence[int]) -> None:
         raise DomainError(f"channels {bad!r} are outside the stream's 1..{n}")
 
 
+def _span(stream: TimeTagStream) -> int:
+    """Pulses from the first record's to the last record's, both included."""
+    if len(stream) == 0:
+        return 0
+    period = np.uint64(stream.meta.pulse_period_ps)
+    return int(stream.timestamps_ps[-1] // period - stream.timestamps_ps[0] // period) + 1
+
+
 def _slot_bound(stream: TimeTagStream, horizon: int) -> int:
     """Slots that _slot_chunks can use, plus horizon slots past the last.
 
     Slots never outnumber the pulses spanned, and each record adds at most
-    horizon + 1 of them.
+    horizon + 1 of them; an empty stream has none.
     """
-    if len(stream) == 0:
-        return horizon + 1
-    period = np.uint64(stream.meta.pulse_period_ps)
-    span = int(stream.timestamps_ps[-1] // period - stream.timestamps_ps[0] // period) + 1
-    return min(span, (len(stream) - 1) * (horizon + 1) + 1) + horizon
+    return min(_span(stream), (len(stream) - 1) * (horizon + 1) + 1) + horizon
 
 
 def _slot_chunks(stream: TimeTagStream, channels: Sequence[int], horizon: int):
@@ -247,43 +248,37 @@ def _dense_pair_counts(stream, channels, horizon) -> np.ndarray:
 
 
 def _sparse_pair_counts(stream, channels, horizon) -> np.ndarray:
-    """counts[d, a, b] by looking up each record's partners d slots later.
+    """counts[d, a, b] by walking each record's later neighbours in slot order.
 
-    Bit r of masks[w, s] is set when channels[8*w + r] has a record in slot
-    s.  Per chunk, mask word and delay, one bincount keyed by the record's
-    row and the mask byte at its slot + d serves every pair.  A chunk is
-    looked up once the masks of every slot up to its last slot + horizon
-    are filled, so one pass of the front end fills the masks and counts.
+    Each chunk is walked behind the earlier records within horizon slots of
+    its first.  For o = 1, 2, ... the walk keeps the records whose o-th
+    successor is at most horizon slots later (slots are sorted, so one out
+    of range stays out for every larger o) and counts the pairs that end on
+    a new record.  Records in one slot come in channel order, so delay 0
+    counts row_a < row_b only until it is mirrored.
     """
     k = len(channels)
-    bound = _slot_bound(stream, horizon)
-    masks = np.zeros((-(-k // 8), bound), dtype=np.uint8)
-    # tables[d, w, (r << 8) | m]: records of channels[r] whose slot + d has
-    # mask byte m in word w
-    tables = np.zeros((horizon + 1, masks.shape[0], k << 8), dtype=np.int64)
-
-    def look_up(slots, rows):
-        high = rows << 8
-        key = np.empty_like(high)
-        for w in range(masks.shape[0]):
-            for d in range(horizon + 1):
-                np.bitwise_or(high, masks[w, d:].take(slots), out=key)
-                tables[d, w] += np.bincount(key, minlength=k << 8)
-
-    pending = []  # chunks whose last slot + horizon later records may fill
-    for slots, rows in _slot_chunks(stream, channels, horizon):
-        # every record has its own (slot, channel), so adding bits sets them
-        bits = np.left_shift(np.uint8(1), (rows & 7).astype(np.uint8))
-        np.add.at(masks.reshape(-1), (rows >> 3) * bound + slots, bits)
-        # later records sit at slots[-1] or beyond
-        while pending and pending[0][0][-1] + horizon < slots[-1]:
-            look_up(*pending.pop(0))
-        pending.append((slots, rows))
-    for chunk in pending:
-        look_up(*chunk)
-    words = masks.shape[0]
-    counts = tables.reshape(horizon + 1, words, k, 256) @ _BITS  # [d, w, r, bit]
-    return counts.transpose(0, 2, 1, 3).reshape(horizon + 1, k, 8 * words)
+    counts = np.zeros((horizon + 1) * k * k, dtype=np.int64)
+    slots = rows = np.empty(0, dtype=np.int64)
+    for new_slots, new_rows in _slot_chunks(stream, channels, horizon):
+        kept = np.searchsorted(slots, new_slots[0] - horizon)
+        slots = np.concatenate([slots[kept:], new_slots])
+        rows = np.concatenate([rows[kept:], new_rows])
+        first = len(slots) - len(new_slots)  # the first new record
+        near = np.arange(len(slots))  # records whose first o - 1 successors are in range
+        for o in range(1, len(slots)):
+            near = near[: np.searchsorted(near, len(slots) - o)]
+            delay = slots[near + o] - slots[near]
+            keep = delay <= horizon
+            near, delay = near[keep], delay[keep]
+            if near.size == 0:
+                break
+            new = np.searchsorted(near, first - o)  # from here on near + o is new
+            key = (delay[new:] * k + rows[near[new:]]) * k + rows[near[new:] + o]
+            counts += np.bincount(key, minlength=counts.size)
+    counts = counts.reshape(horizon + 1, k, k)
+    counts[0] += counts[0].T
+    return counts
 
 
 def g2_ratio(hist: CoincidenceHistogram, period_bins: int, n_peaks: int = 3):
@@ -354,6 +349,8 @@ def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
     schedule_delays = channel_delay_bins(stream.meta.schedule_targets, channels)
     span = max(schedule_delays) - min(schedule_delays)
     _check_channels(stream, channels)
+    if stream.meta.pulse_count == 0:
+        raise DataError("a stream with pulse_count 0 has no acquisition time, so no rates")
     # an event is a slot s where every channel fires at s + its offset
     bits, used = _bitsets(stream, channels, span)
     lead = min(schedule_delays)

@@ -27,7 +27,6 @@ __all__ = [
     "read_stream",
     "write_csv",
     "read_csv",
-    "merge_streams",
 ]
 
 FORMAT_NAME = "ttag-columnar"
@@ -54,6 +53,35 @@ class StreamMeta:
     schedule_targets: tuple[int, ...]
     format_version: int = FORMAT_VERSION
 
+    def __post_init__(self) -> None:
+        """Refuse any value no simulated run can produce, naming its field."""
+        rate = self.pump_rate_hz
+        if not (_is_int(rate) or isinstance(rate, float)) or not 0 < rate <= sys.float_info.max:
+            raise DataError(f"pump_rate_hz must be finite and > 0, got {rate!r}")
+        for key, minimum in (
+            ("n_channels", 1), ("schedule_period", 1), ("pulse_period_ps", 1), ("pulse_count", 0)
+        ):
+            value = getattr(self, key)
+            if not _is_int(value) or value < minimum:
+                raise DataError(f"{key} must be an integer >= {minimum}, got {value!r}")
+        targets = self.schedule_targets
+        if not isinstance(targets, (list, tuple)) or len(targets) != self.schedule_period:
+            raise DataError(
+                f"schedule_targets must list schedule_period={self.schedule_period} outputs, "
+                f"got {targets!r}"
+            )
+        if not all(_is_int(t) and 1 <= t <= self.n_channels for t in targets):
+            raise DataError(
+                f"schedule_targets must be integers in 1..{self.n_channels}, got {targets!r}"
+            )
+        if max(self.pulse_count, 1) * self.pulse_period_ps >= 2**63:  # pulse_indices are int64
+            raise DataError(
+                f"pulse_count*pulse_period_ps must fit in int64, got "
+                f"{self.pulse_count}*{self.pulse_period_ps}"
+            )
+        object.__setattr__(self, "pump_rate_hz", float(rate))
+        object.__setattr__(self, "schedule_targets", tuple(targets))
+
     def to_dict(self) -> dict:
         return {
             "format": FORMAT_NAME,
@@ -69,42 +97,20 @@ class StreamMeta:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StreamMeta":
-        """Parse a sidecar, refusing any value no simulated run can produce."""
+        """Parse a sidecar; the constructor refuses impossible values."""
         if doc.get("format") != FORMAT_NAME:
             raise DataError(f"not a {FORMAT_NAME} sidecar: format={doc.get('format')!r}")
         if doc.get("format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported format_version {doc.get('format_version')!r}")
         try:
-            rate = doc["pump_rate_hz"]
-            if not (_is_int(rate) or isinstance(rate, float)) or not 0 < rate <= sys.float_info.max:
-                raise DataError(f"sidecar pump_rate_hz must be finite and > 0, got {rate!r}")
-            n_channels = _count(doc, "n_channels", 1)
-            period = _count(doc, "schedule_period", 1)
-            targets = doc["schedule_targets"]
-            if not isinstance(targets, list) or len(targets) != period:
-                raise DataError(
-                    f"sidecar schedule_targets must list schedule_period={period} outputs, "
-                    f"got {targets!r}"
-                )
-            if not all(_is_int(t) and 1 <= t <= n_channels for t in targets):
-                raise DataError(
-                    f"sidecar schedule_targets must be integers in 1..{n_channels}, got {targets!r}"
-                )
-            pulse_period = _count(doc, "pulse_period_ps", 1)
-            pulse_count = _count(doc, "pulse_count", 0)
-            if max(pulse_count, 1) * pulse_period >= 2**63:  # pulse_indices are int64
-                raise DataError(
-                    f"sidecar pulse_count*pulse_period_ps must fit in int64, got "
-                    f"{pulse_count}*{pulse_period}"
-                )
             return cls(
                 config_digest=doc["config_digest"],
-                pump_rate_hz=float(rate),
-                pulse_period_ps=pulse_period,
-                pulse_count=pulse_count,
-                n_channels=n_channels,
-                schedule_period=period,
-                schedule_targets=tuple(targets),
+                pump_rate_hz=doc["pump_rate_hz"],
+                pulse_period_ps=doc["pulse_period_ps"],
+                pulse_count=doc["pulse_count"],
+                n_channels=doc["n_channels"],
+                schedule_period=doc["schedule_period"],
+                schedule_targets=doc["schedule_targets"],
             )
         except KeyError as exc:
             raise DataError(f"sidecar is missing {exc}") from None
@@ -112,13 +118,6 @@ class StreamMeta:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _count(doc: dict, key: str, minimum: int) -> int:
-    value = doc[key]
-    if not _is_int(value) or value < minimum:
-        raise DataError(f"sidecar {key} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 class TimeTagStream:
@@ -250,14 +249,3 @@ def read_csv(path, meta: StreamMeta) -> TimeTagStream:
         raise DataError(f"{path}: timestamps must be multiples of {meta.pulse_period_ps} ps >= 0")
     return TimeTagStream(channels, timestamps, meta)
 
-
-def merge_streams(parts, meta: StreamMeta) -> TimeTagStream:
-    """Concatenate shard streams that cover disjoint, ordered pulse ranges."""
-    parts = list(parts)
-    if any(p.meta != meta for p in parts):
-        raise DataError("shard streams must share the merged stream's metadata")
-    if not parts:
-        return TimeTagStream(np.empty(0, np.uint32), np.empty(0, np.uint64), meta)
-    channels = np.concatenate([p.channels for p in parts])
-    timestamps = np.concatenate([p.timestamps_ps for p in parts])
-    return TimeTagStream(channels, timestamps, meta)

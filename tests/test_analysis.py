@@ -41,8 +41,13 @@ from conftest import ETA_DM_TABLE, TABLE_RATIOS
 PERIOD_PS = 12500
 
 
-def make_stream(events, targets=(1, 2, 3, 4), pulse_count=1000, n_channels=4) -> TimeTagStream:
-    """events: (channel, pulse_index) pairs, any order, no duplicates."""
+def make_stream(events, targets=None, pulse_count=1000, n_channels=4) -> TimeTagStream:
+    """events: (channel, pulse_index) pairs, any order, no duplicates.
+
+    The schedule defaults to the outputs 1..4 that the stream has.
+    """
+    if targets is None:
+        targets = tuple(range(1, min(n_channels, 4) + 1))
     events = sorted((p, ch) for ch, p in events)
     meta = StreamMeta(
         config_digest="t" * 64,
@@ -462,6 +467,50 @@ def test_no_pairs_give_no_histograms(name):
             assert pair_histograms(stream, [], 3) == []
 
 
+# bursts of 9 records on 3 consecutive pulses, so with chunks of 1 to 3
+# records the earlier records within the delay range of a chunk come from
+# several chunks before it
+BURST_EVENTS = [
+    (ch, start + p)
+    for start in (0, 5, 30, 34, 80) for p in range(3) for ch in (1, 2, 3, 4)
+    if (start + p + ch) % 4
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("max_delay", [0, 2, 4, 10, 40])
+def test_neighbour_walk_carries_records_of_several_chunks(chunk, max_delay):
+    stream = make_stream(BURST_EVENTS, pulse_count=100)
+    pairs = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+    with kernel("sparse"), chunked(chunk):
+        hists = pair_histograms(stream, pairs, max_delay)
+    for (a, b), hist in zip(pairs, hists):
+        np.testing.assert_array_equal(hist.counts, pairwise_oracle(BURST_EVENTS, a, b, max_delay))
+
+
+def test_sparse_analysis_memory_follows_the_chunk():
+    # about 200k records of 8 channels over 1.6e7 pulses: working arrays sized
+    # by the slot bound (1.3e7 slots at +-64) would hold 13 MB or more
+    rng = np.random.default_rng(5)
+    n_pulses, n = 16_000_000, 8
+    pulses, rows = np.divmod(np.unique(rng.integers(0, n_pulses * n, size=200_000)), n)
+    meta = make_stream([], pulse_count=n_pulses, n_channels=n).meta
+    stream = TimeTagStream(rows + 1, pulses.astype(np.uint64) * PERIOD_PS, meta)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    tracemalloc.start()
+    try:
+        hists = pair_histograms(stream, pairs, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * analysis._CHUNK_RECORDS  # 16 int64 arrays of one chunk
+    # every pair of records of different channels within 64 pulses, once
+    def near_pairs(at):
+        return int(np.sum(np.searchsorted(at, at + 64, side="right") - np.arange(len(at)) - 1))
+    expected = near_pairs(pulses) - sum(near_pairs(pulses[rows == r]) for r in range(n))
+    assert sum(hist.total() for hist in hists) == expected
+
+
 def dense_stream(n_pulses, n_channels, p, seed):
     """Every channel fires on each pulse with probability p."""
     rng = np.random.default_rng(seed)
@@ -543,6 +592,13 @@ def test_count_nfold_validation():
     narrow = make_stream([(1, 0), (2, 1)], targets=(1, 2))
     with pytest.raises(ConfigError):  # channel 3 never scheduled
         count_nfold(narrow, (1, 3))
+
+
+def test_count_nfold_refuses_a_zero_pulse_stream():
+    # the count is 0, but its rate and sigma would divide by a zero acquisition time
+    stream = make_stream([], pulse_count=0)
+    with pytest.raises(DataError, match="pulse_count"):
+        count_nfold(stream, (1, 2))
 
 
 def test_eta_sd_from_singles():

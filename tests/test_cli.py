@@ -308,6 +308,22 @@ def test_exit_code_zero_pump_rate_sidecar(tmp_path, simulated_stream, bright_con
     assert code == 3
 
 
+@pytest.mark.parametrize("which", ["nfold", "eta-dm"])
+def test_exit_code_zero_pulse_stream(tmp_path, bright_config, which):
+    # an empty run is valid, but it has no rates: both analyses used to end
+    # with a ZeroDivisionError traceback from NFoldCounts.rate_hz (exit 1)
+    stream = tmp_path / "empty.tags"
+    assert run(["simulate", "--config", bright_config, "--pulses", 0, "--out", stream]) == 0
+    assert read_stream(stream).meta.pulse_count == 0
+    out_dir = tmp_path / "out"
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", stream,
+         "--which", which, "--out-dir", out_dir]
+    )
+    assert code == 3
+    assert not list(out_dir.glob("*.json"))
+
+
 def test_exit_code_thin_saturation_data(tmp_path):
     data = tmp_path / "thin.csv"
     data.write_text("power_uw,rate_hz\n100,1.0\n200,2.0\n")

@@ -1,5 +1,6 @@
 """Time-tag stream container and the binary/CSV round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,6 @@ from demuxsim import (
     DataError,
     StreamMeta,
     TimeTagStream,
-    merge_streams,
     read_csv,
     read_stream,
     sidecar_path,
@@ -158,18 +158,6 @@ def test_empty_stream(tmp_path):
     assert read_stream(path) == stream
 
 
-def test_merge_streams_requires_ordered_parts():
-    meta = make_meta()
-    a = make_stream([(1, 0), (2, 3)])
-    b = make_stream([(4, 10), (1, 11)])
-    merged = merge_streams([a, b], meta)
-    assert len(merged) == 4
-    np.testing.assert_array_equal(merged.channels, [1, 2, 4, 1])
-    with pytest.raises(DataError):  # overlapping pulse ranges break ordering
-        merge_streams([b, a], meta)
-    assert len(merge_streams([], meta)) == 0
-
-
 def test_read_stream_error_paths(tmp_path):
     stream = make_stream([(1, 0), (2, 3)])
     path = tmp_path / "run.tags"
@@ -271,6 +259,19 @@ def test_sidecar_impossible_values_are_data_errors(tmp_path, field, value):
         read_stream(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    IMPOSSIBLE_SIDECAR_VALUES,
+    ids=[f"{field}={value!r}" for field, value in IMPOSSIBLE_SIDECAR_VALUES],
+)
+def test_stream_meta_impossible_values_are_data_errors(field, value):
+    # a direct construction used to bypass the sidecar checks: a negative pump
+    # rate gave negative n-fold rates and sigmas
+    fields = {**dataclasses.asdict(make_meta()), field: value}
+    with pytest.raises(DataError, match=field):
+        StreamMeta(**fields)
+
+
 def test_sidecar_needs_a_scheduled_bin(tmp_path):
     path = tmp_path / "run.tags"
     write_stream(make_stream([]), path)
@@ -302,17 +303,6 @@ def test_sidecar_accepts_partial_and_permuted_schedules(tmp_path):
         stream = make_stream([(1, 0)], pulse_count=0, targets=targets)
         write_stream(stream, path)
         assert read_stream(path) == stream
-
-
-@pytest.mark.parametrize(
-    "meta_kwargs", [{"pulse_count": 500}, {"n_channels": 8}, {"targets": (2, 1, 4, 3)}]
-)
-def test_merge_streams_rejects_mismatched_meta(meta_kwargs):
-    part = make_stream([(1, 0), (2, 3)], **meta_kwargs)
-    with pytest.raises(DataError, match="metadata"):
-        merge_streams([make_stream([(1, 0)]), part], make_meta())
-    with pytest.raises(DataError, match="metadata"):
-        merge_streams([part], make_meta())
 
 
 @pytest.mark.parametrize(
