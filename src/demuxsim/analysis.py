@@ -11,15 +11,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import xlogy
 
 from .couplers import (
     DemuxNetwork,
     SwitchSchedule,
+    _path_products,
+    _through_by_bin,
     channel_delay_bins,
     routing_by_bin,
-    switching_efficiency,
 )
 from .errors import DataError, DomainError, EstimationError
+# routing_by_bin and finite_difference_jacobian are unused here: bench/worker.py traces them
 from .fitting import FitResult, damped_least_squares, finite_difference_jacobian
 from .rates import s_active
 from .tags import TimeTagStream
@@ -406,8 +409,6 @@ class RatioEstimate:
 @dataclass(frozen=True)
 class RatioEstimationResult:
     estimates: tuple[RatioEstimate, ...]
-    param_names: tuple[str, ...]
-    covariance: np.ndarray
     fit: FitResult
 
     def table(self) -> dict[str, dict[str, float]]:
@@ -449,15 +450,46 @@ def _class_areas(hist: CoincidenceHistogram, period: int):
     return areas, n_terms
 
 
-def _model_class_areas(rows: np.ndarray) -> np.ndarray:
-    """Expected relative class areas of every channel pair.
+def _ratio_columns(network: DemuxNetwork, schedule: SwitchSchedule, params) -> np.ndarray:
+    """columns[b, k]: index in params, (coupler_id, state) pairs, of switch k's ratio in bin b."""
+    index: dict[str, dict[str, int]] = {}
+    for i, (cid, state) in enumerate(params):
+        index.setdefault(cid, {})[state] = i
+    return _through_by_bin(network, schedule, index).astype(np.intp)
 
-    out[a, b, m] = sum_k rows[k, a] * rows[(k + m) % period, b]: channel a + 1
-    fed in schedule bin k and channel b + 1 fed m bins later.
+
+def _class_area_model(x, hops, columns, first, second, terms):
+    """Expected class areas of pairs (first[p] + 1, second[p] + 1), and their Jacobian in x.
+
+    x is the ratios that columns picks from, then one scale per pair.  Pair p's
+    area in class m is scale[p] * terms[p, m] * rel[p, m], where rel[p, m] sums
+    over schedule bins k of rows[k, first[p]] * rows[(k + m) % period, second[p]].
     """
+    n_ratio = x.size - len(first)
+    rows, grad = _path_products(hops, x[columns])
+    # drows[k, j, o] = d rows[k, o] / d x[j], through the switches set by ratio j
+    drows = np.einsum("kso,ksj->kjo", grad, columns[:, :, None] == np.arange(n_ratio))
     k = np.arange(rows.shape[0])
-    later = rows[(k[:, None] + k) % k.size]  # later[m, k] = rows[(k + m) % period]
-    return np.einsum("ka,mkb->abm", rows, later)
+    later = (k[:, None] + k) % k.size  # later[m, k] = (k + m) % period
+    fed, fed_later = rows[:, first], rows[later][..., second]
+    rel = np.einsum("kp,mkp->pm", fed, fed_later)
+    drel = np.einsum("kjp,mkp->pmj", drows[:, :, first], fed_later)
+    drel += np.einsum("kp,mkjp->pmj", fed, drows[later][..., second])
+    scale = x[n_ratio:, None] * terms
+    dscale = (rel * terms)[..., None] * np.eye(len(first))[:, None]
+    jac = np.concatenate([scale[..., None] * drel, dscale], axis=-1)
+    return (scale * rel).ravel(), jac.reshape(rel.size, x.size)
+
+
+def _deviance(m: np.ndarray, y: np.ndarray):
+    """Signed Poisson deviance residuals r of model m against counts y, and dr/dm.
+
+    The sum of r**2 is the Poisson likelihood ratio, so least squares on r is
+    the maximum-likelihood fit (Baker & Cousins, Nucl. Instrum. Meth. 221, 437
+    (1984)); dr/dm = (m - y) / (m r), with its limit 1/sqrt(m) where r = 0.
+    """
+    r = np.sign(m - y) * np.sqrt(2.0 * np.maximum(m - y + xlogy(y, y / m), 0.0))
+    return r, np.divide(m - y, m * r, out=1.0 / np.sqrt(m), where=r != 0)
 
 
 def estimate_splitting_ratios(
@@ -468,93 +500,57 @@ def estimate_splitting_ratios(
     """Estimate the through fractions of every coupler's on and off states.
 
     Peak areas, folded to delay classes modulo the schedule period, are fit
-    against the tree path-product routing model by weighted least squares;
-    one free scale per histogram absorbs flux and detector efficiencies.
-    Histograms must cover enough distinct pairs to make all the ratios
-    identifiable (all pairs sharing channel 1 suffice for a balanced 1x4).
+    against the tree path-product routing model by Poisson likelihood, with
+    exact derivatives; one free scale per histogram absorbs flux and detector
+    efficiencies.  Histograms must cover enough distinct pairs to make all the
+    ratios identifiable (all pairs sharing channel 1 suffice for a balanced 1x4).
     """
     if not histograms:
         raise EstimationError("no histograms given")
     period = schedule.period
-    data = []
-    for hist in histograms:
-        areas, n_terms = _class_areas(hist, period)
-        if areas.sum() == 0:
-            raise EstimationError(
-                f"histogram ({hist.channel_a},{hist.channel_b}) has no counts"
-            )
-        data.append((hist.channel_a, hist.channel_b, areas, n_terms))
+    pairs = [(hist.channel_a, hist.channel_b) for hist in histograms]
+    areas, terms = map(np.array, zip(*(_class_areas(hist, period) for hist in histograms)))
+    for (a, b), pair_areas in zip(pairs, areas):
+        if pair_areas.sum() == 0:
+            raise EstimationError(f"histogram ({a},{b}) has no counts")
+    first, second = np.array(pairs).T - 1
+    y = areas.ravel()
 
-    states = ("on", "off")
-    ratio_names = [f"{cid}:{st}" for cid in network.coupler_ids for st in states]
-    scale_names = [f"scale:{a}-{b}" for a, b, _, _ in data]
-    n_ratio = len(ratio_names)
-
-    y = np.concatenate([areas for _, _, areas, _ in data])
-    sigma = np.sqrt(np.clip(y, 1.0, None))  # Poisson, floored for empty classes
-
-    def build_table(x: np.ndarray) -> dict[str, dict[str, float]]:
-        ratios = np.clip(x[:n_ratio], 0.0, 1.0).reshape(-1, len(states)).tolist()
-        return {cid: dict(zip(states, r)) for cid, r in zip(network.coupler_ids, ratios)}
-
-    first = np.array([a - 1 for a, _, _, _ in data])
-    second = np.array([b - 1 for _, b, _, _ in data])
-    terms = np.array([n_terms for _, _, _, n_terms in data])
-
-    def model(x: np.ndarray) -> np.ndarray:
-        rows = routing_by_bin(network, schedule, build_table(x))
-        rel = _model_class_areas(rows)[first, second]
-        return (x[n_ratio:, None] * rel * terms).ravel()
+    params = [(cid, st) for cid in network.coupler_ids for st in ("on", "off")]
+    n_ratio = len(params)
+    names = [f"{cid}:{st}" for cid, st in params] + [f"scale:{a}-{b}" for a, b in pairs]
+    columns = _ratio_columns(network, schedule, params)
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        return (model(x) - y) / sigma
+        model, _ = _class_area_model(x, network.hops, columns, first, second, terms)
+        return _deviance(model, y)[0]
 
-    x0 = np.empty(n_ratio + len(data))
-    for k, name in enumerate(ratio_names):
-        x0[k] = 0.9 if name.endswith(":on") else 0.1
-    for i, (_, _, areas, n_terms) in enumerate(data):
-        x0[n_ratio + i] = areas.sum() / max(n_terms.sum() / period, 1.0)
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        model, jac = _class_area_model(x, network.hops, columns, first, second, terms)
+        return _deviance(model, y)[1][:, None] * jac
 
-    bounds = [(0.0, 1.0)] * n_ratio + [(0.0, np.inf)] * len(data)
+    scales = areas.sum(axis=1) / np.maximum(terms.sum(axis=1) / period, 1.0)
     fit = damped_least_squares(
         residuals,
-        x0,
-        names=tuple(ratio_names + scale_names),
-        bounds=bounds,
+        np.concatenate([np.tile([0.9, 0.1], len(network.coupler_ids)), scales]),
+        jacobian_fn=jacobian,
+        names=tuple(names),
+        bounds=[(0.0, 1.0)] * n_ratio + [(0.0, np.inf)] * len(pairs),
     )
-    # reweight by the fitted model: data-derived Poisson weights bias counts
-    # low because downward fluctuations get larger weights
-    for _ in range(2):
-        sigma = np.sqrt(np.clip(model(np.asarray(fit.values)), 1.0, None))
-        fit = damped_least_squares(
-            residuals,
-            np.asarray(fit.values),
-            names=tuple(ratio_names + scale_names),
-            bounds=bounds,
-        )
 
     # identifiability check at the solution
-    jac = finite_difference_jacobian(residuals, np.asarray(fit.values))
-    rank = np.linalg.matrix_rank(jac[:, :n_ratio], tol=1e-8)
+    rank = np.linalg.matrix_rank(jacobian(np.asarray(fit.values))[:, :n_ratio], tol=1e-8)
     if rank < n_ratio:
-        pairs = [(a, b) for a, b, _, _ in data]
         raise EstimationError(
             f"ratios not identifiable from pairs {pairs!r}: rank {rank} < {n_ratio}; "
             "provide histograms for more channel pairs"
         )
 
-    estimates = []
-    for k, name in enumerate(ratio_names):
-        cid, st = name.split(":")
-        estimates.append(
-            RatioEstimate(coupler_id=cid, state=st, ratio=fit.values[k], sigma=fit.sigmas[k])
-        )
-    return RatioEstimationResult(
-        estimates=tuple(estimates),
-        param_names=tuple(ratio_names),
-        covariance=fit.covariance[:n_ratio, :n_ratio],
-        fit=fit,
+    estimates = tuple(
+        RatioEstimate(coupler_id=cid, state=st, ratio=fit.values[k], sigma=fit.sigmas[k])
+        for k, (cid, st) in enumerate(params)
     )
+    return RatioEstimationResult(estimates=estimates, fit=fit)
 
 
 def eta_dm_from_ratios(
@@ -563,21 +559,15 @@ def eta_dm_from_ratios(
     schedule: SwitchSchedule,
 ):
     """Switching efficiency from estimated ratios, with a delta-method sigma."""
-    table = result.table()
-    value = switching_efficiency(network, schedule, table)
-    # numeric gradient wrt each estimated ratio
-    grad = np.zeros(len(result.param_names))
-    h = 1e-6
-    for k, name in enumerate(result.param_names):
-        cid, st = name.split(":")
-        bumped = {c: dict(s) for c, s in table.items()}
-        bumped[cid][st] = min(bumped[cid][st] + h, 1.0)
-        step = bumped[cid][st] - table[cid][st]
-        if step == 0.0:
-            bumped[cid][st] = table[cid][st] - h
-            step = -h
-        grad[k] = (switching_efficiency(network, schedule, bumped) - value) / step
-    variance = float(grad @ result.covariance @ grad)
+    estimates, n = result.estimates, len(result.estimates)
+    columns = _ratio_columns(network, schedule, [(e.coupler_id, e.state) for e in estimates])
+    rows, grad = _path_products(network.hops, np.array([e.ratio for e in estimates])[columns])
+    bins, targets = np.arange(schedule.period), np.array(schedule.targets) - 1
+    value = float(np.mean(rows[bins, targets]))
+    # exact gradient: the mean over bins of d rows[b, target_b] / d ratio, which
+    # sums over the switches the ratio sets in bin b
+    gradient = np.bincount(columns.ravel(), grad[bins, :, targets].ravel(), n) / bins.size
+    variance = float(gradient @ result.fit.covariance[:n, :n] @ gradient)
     return value, math.sqrt(max(variance, 0.0))
 
 

@@ -95,10 +95,10 @@ def cmd_simulate(args) -> int:
     write_stream(stream, out)
     if args.csv:
         write_csv(stream, out.with_suffix(out.suffix + ".csv"))
-    rates = stream.singles_rates_hz()
     print(f"pulses={config.resolved_pulse_count()} records={len(stream)}")
-    for ch, rate in enumerate(rates, start=1):
-        print(f"channel_{ch}_singles_hz={rate:.6g}")
+    if stream.meta.pulse_count:  # a run of no pulses has no acquisition time, so no rates
+        for ch, rate in enumerate(stream.singles_rates_hz(), start=1):
+            print(f"channel_{ch}_singles_hz={rate:.6g}")
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ its unit in the key name, and the schema is versioned via config_version.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 from typing import Any
@@ -141,7 +142,7 @@ class RunConfig:
         self._validate_couplers_cover_network()
         # simulation and prediction are optional, but a document with a typo
         # must not load cleanly, so both are parsed here
-        self._simulation = self._parse_simulation()
+        self._simulation = self._build_simulation()
         self._prediction = self._parse_prediction()
 
     # -- sections -----------------------------------------------------------
@@ -290,23 +291,27 @@ class RunConfig:
         if missing:
             raise ConfigError(f"couplers section lacks ratios for {missing!r}")
 
-    def _parse_simulation(self) -> dict | None:
+    def _build_simulation(self) -> SimConfig | None:
         sec = self.doc.get("simulation")
         if sec is None:
             return None
         sec = _require_mapping(sec, "simulation")
         _check_keys(sec, _SIMULATION_KEYS, "simulation")
-        if ("pulses" in sec) == ("duration_s" in sec):
-            raise ConfigError("simulation needs exactly one of pulses / duration_s")
         seed = sec["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("simulation.seed must be an integer")
-        return {
-            "pump_power_uw": _number(sec, "pump_power_uw", "simulation"),
-            "rng_seed": seed,
-            "pulse_count": _integer(sec, "pulses", "simulation") if "pulses" in sec else None,
-            "duration_s": _number(sec, "duration_s", "simulation") if "duration_s" in sec else None,
-        }
+        return SimConfig(
+            emitter=self.emitter,
+            network=self.network,
+            schedule=self.schedule,
+            couplers=self.couplers,
+            budget=self.budget,
+            eta_det=self.eta_det,
+            pump_power_uw=_number(sec, "pump_power_uw", "simulation"),
+            rng_seed=seed,
+            pulse_count=_integer(sec, "pulses", "simulation") if "pulses" in sec else None,
+            duration_s=_number(sec, "duration_s", "simulation") if "duration_s" in sec else None,
+        )
 
     def _parse_prediction(self) -> dict:
         sec = self.doc.get("prediction")
@@ -326,20 +331,12 @@ class RunConfig:
     def sim_config(self, pulses: int | None = None, seed: int | None = None) -> SimConfig:
         if self._simulation is None:
             raise ConfigError("simulation section is required to simulate")
-        run = dict(self._simulation)
+        run = {}
         if pulses is not None:
             run.update(pulse_count=pulses, duration_s=None)
         if seed is not None:
             run["rng_seed"] = seed
-        return SimConfig(
-            emitter=self.emitter,
-            network=self.network,
-            schedule=self.schedule,
-            couplers=self.couplers,
-            budget=self.budget,
-            eta_det=self.eta_det,
-            **run,
-        )
+        return dataclasses.replace(self._simulation, **run)
 
     def prediction_config(self, include_detectors: bool | None = None) -> PredictionConfig:
         eta_dm = self._prediction.get("eta_dm")

@@ -305,14 +305,8 @@ def schedule_for_cycle(
 # routing
 # ---------------------------------------------------------------------------
 
-def routing_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table: RatioTable) -> np.ndarray:
-    """(period, n_outputs) matrix of routing probabilities, one row per bin.
-
-    An output's probability is the product along its root-to-leaf path of
-    each switch's through fraction, or its complement on a cross hop; table
-    maps coupler_id and drive state to the through fraction.  Each row sums
-    to 1: the tree redistributes but does not lose photons.
-    """
+def _through_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table) -> np.ndarray:
+    """through[b, k]: table's entry for switch coupler_ids[k] in its state in bin b."""
     through = np.empty((schedule.period, len(network.coupler_ids)))
     for b, assignment in enumerate(schedule.bins):
         for k, cid in enumerate(network.coupler_ids):
@@ -324,6 +318,36 @@ def routing_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table: Ratio
                 raise ConfigError(
                     f"no splitting ratio for coupler {cid!r} state {assignment[cid]!r}"
                 ) from None
+    return through
+
+
+def _path_products(hops: np.ndarray, through: np.ndarray):
+    """Path products rows[b, o] and their derivatives grad[b, k, o] in through[b, k].
+
+    grad is the hop sign times the product of the path's other factors, from
+    running products before and after switch k: no factor is divided out, so
+    a ratio of exactly 0 or 1 needs no special case.
+    """
+    # factors[b, k, o]: switch k's share of output o's path in bin b, exactly 1
+    # off the path; pre-order puts every switch after its ancestors, so rows
+    # multiply each path root to leaf, the order the pinned draw layout depends on
+    f = through[:, :, None]
+    factors = np.where(hops.T > 0, f, np.where(hops.T < 0, 1.0 - f, 1.0))
+    before, after = np.ones_like(factors), np.ones_like(factors)
+    np.cumprod(factors[:, :-1], axis=1, out=before[:, 1:])
+    np.cumprod(factors[:, :0:-1], axis=1, out=after[:, -2::-1])
+    return before[:, -1] * factors[:, -1], hops.T * before * after
+
+
+def routing_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table: RatioTable) -> np.ndarray:
+    """(period, n_outputs) matrix of routing probabilities, one row per bin.
+
+    An output's probability is the product along its root-to-leaf path of
+    each switch's through fraction, or its complement on a cross hop; table
+    maps coupler_id and drive state to the through fraction.  Each row sums
+    to 1: the tree redistributes but does not lose photons.
+    """
+    through = _through_by_bin(network, schedule, table)
     bad = ~((through >= 0.0) & (through <= 1.0))
     if bad.any():
         b, k = np.argwhere(bad)[0]
@@ -331,15 +355,7 @@ def routing_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table: Ratio
             f"through fraction for {network.coupler_ids[k]!r} outside [0, 1]: "
             f"{float(through[b, k])!r}"
         )
-    # factors[b, k, o]: switch k's share of output o's path in bin b, exactly 1
-    # off the path; pre-order puts every switch after its ancestors, so the
-    # loop multiplies each path root to leaf
-    f = through[:, :, None]
-    factors = np.where(network.hops.T > 0, f, np.where(network.hops.T < 0, 1.0 - f, 1.0))
-    rows = np.ones((schedule.period, network.n_outputs))
-    for factor in factors.transpose(1, 0, 2):
-        rows *= factor
-    return rows
+    return _path_products(network.hops, through)[0]
 
 
 def switching_efficiency(

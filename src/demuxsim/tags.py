@@ -170,6 +170,8 @@ class TimeTagStream:
         return counts[1:].astype(np.int64)
 
     def singles_rates_hz(self) -> np.ndarray:
+        if self.meta.pulse_count == 0:
+            raise DataError("a stream with pulse_count 0 has no acquisition time, so no rates")
         return self.singles_counts() / self.acquisition_s
 
 

@@ -1,12 +1,15 @@
 """Shared builders for the measured 1x4 device used across the tests."""
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from demuxsim import (
     EmitterParams,
     LossBudget,
     SimConfig,
     balanced_network,
+    cascade_network,
     schedule_for_cycle,
 )
 
@@ -76,3 +79,30 @@ def make_bright_sim(
         rng_seed=seed,
         pulse_count=pulses,
     )
+
+
+# balanced and cascade trees of 2-16 outputs
+small_trees = st.one_of(
+    st.sampled_from([2, 4, 8, 16]).map(balanced_network), st.integers(2, 16).map(cascade_network)
+)
+
+# through fractions that include the ends, where a path factor is exactly 0
+fractions_with_ends = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+def path_walk(network, through) -> np.ndarray:
+    """Oracle: rows[b, o], output o + 1's hop fractions multiplied from the root to its leaf.
+
+    through[b, k] is switch network.coupler_ids[k]'s through fraction in bin b.
+    Nothing checks its range, so central differences may step past 0 and 1.
+    """
+    column = {cid: k for k, cid in enumerate(network.coupler_ids)}
+    rows = np.ones((len(through), network.n_outputs))
+    for b, fractions in enumerate(through):
+        for o in range(network.n_outputs):
+            for cid, branch in network.path_to(o + 1):
+                f = fractions[column[cid]]
+                rows[b, o] *= f if branch == "through" else 1.0 - f
+    return rows

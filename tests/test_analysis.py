@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import curve_fit
+from scipy.special import xlogy
 
 from demuxsim import (
     ConfigError,
     DataError,
     DomainError,
     EstimationError,
+    FitResult,
     NFoldCounts,
+    RatioEstimate,
+    RatioEstimationResult,
     StreamMeta,
     TimeTagStream,
     balanced_network,
@@ -33,10 +37,10 @@ from demuxsim import (
     schedule_for_cycle,
     switching_efficiency,
 )
-from demuxsim import analysis
+from demuxsim import analysis, fitting
 from demuxsim.analysis import CoincidenceHistogram
 
-from conftest import ETA_DM_TABLE, TABLE_RATIOS
+from conftest import ETA_DM_TABLE, TABLE_RATIOS, fractions_with_ends, path_walk, small_trees
 
 PERIOD_PS = 12500
 
@@ -706,6 +710,145 @@ def test_eta_dm_from_table_matches_direct_average():
     assert switching_efficiency(net, sched, TABLE_RATIOS) == pytest.approx(
         ETA_DM_TABLE, abs=1e-12
     )
+
+
+def test_ratio_fit_is_one_fit_with_exact_derivatives(monkeypatch):
+    # the fit used to be three finite-difference fits, reweighted between
+    # runs, and one more finite-difference Jacobian for the rank
+    calls = {"fit": 0, "finite_difference": 0}
+
+    def counted(function, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        analysis, "damped_least_squares", counted(analysis.damped_least_squares, "fit")
+    )
+    # damped_least_squares looks its numeric default up in fitting
+    for module in (analysis, fitting):
+        monkeypatch.setattr(
+            module,
+            "finite_difference_jacobian",
+            counted(fitting.finite_difference_jacobian, "finite_difference"),
+        )
+    net = balanced_network(4)
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    hists = synthetic_histograms(pairs, TABLE_RATIOS, 40_000.0, np.random.default_rng(3))
+    estimate_splitting_ratios(hists, net, schedule_for_cycle(net))
+    assert calls == {"fit": 1, "finite_difference": 0}
+
+
+@st.composite
+def ratio_models(draw):
+    """A balanced or cascade tree of 2-16 outputs, a schedule, on/off ratios and pairs."""
+    net = draw(small_trees)
+    n = net.n_outputs
+    sched = schedule_for_cycle(net, draw(st.lists(st.integers(1, n), min_size=1, max_size=6)))
+    size = 2 * len(net.coupler_ids)
+    ratios = np.array(draw(st.lists(fractions_with_ends, min_size=size, max_size=size)))
+    channel_pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(channel_pairs, min_size=1, max_size=6, unique=True))
+    return net, sched, ratios, pairs
+
+
+def ratio_params(net):
+    return [(cid, state) for cid in net.coupler_ids for state in ("on", "off")]
+
+
+def through_of(net, sched, ratios) -> np.ndarray:
+    """through[b, k] looked up by name: ratios are ordered as ratio_params."""
+    index = {param: i for i, param in enumerate(ratio_params(net))}
+    return np.array(
+        [[ratios[index[cid, states[cid]]] for cid in net.coupler_ids] for states in sched.bins]
+    )
+
+
+def class_areas_oracle(x, net, sched, pairs, terms) -> np.ndarray:
+    """Areas of every pair's classes in order, from the path walk, loop by loop."""
+    n_ratio = x.size - len(pairs)
+    rows = path_walk(net, through_of(net, sched, x[:n_ratio]))
+    period = sched.period
+    return np.array(
+        [
+            x[n_ratio + p] * terms[p, m] * sum(
+                rows[k, a - 1] * rows[(k + m) % period, b - 1] for k in range(period)
+            )
+            for p, (a, b) in enumerate(pairs)
+            for m in range(period)
+        ]
+    )
+
+
+def central_differences(function, x, h=1e-4) -> np.ndarray:
+    steps = np.eye(x.size) * h
+    return np.column_stack([(function(x + e) - function(x - e)) / (2 * h) for e in steps])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratio_models())
+def test_class_area_jacobian_matches_central_difference(case):
+    net, sched, ratios, pairs = case
+    rng = np.random.default_rng(len(ratios) + len(pairs))
+    terms = rng.uniform(1.0, 4.0, (len(pairs), sched.period))
+    x = np.concatenate([ratios, rng.uniform(0.5, 2.0, len(pairs))])
+    columns = analysis._ratio_columns(net, sched, ratio_params(net))
+    first, second = np.array(pairs).T - 1
+    model, jac = analysis._class_area_model(x, net.hops, columns, first, second, terms)
+    np.testing.assert_allclose(model, class_areas_oracle(x, net, sched, pairs, terms), rtol=1e-12)
+    numeric = central_differences(lambda v: class_areas_oracle(v, net, sched, pairs, terms), x)
+    # relative to the largest entry: a derivative that cancels to 0 leaves
+    # rounding of the areas in its difference quotient
+    np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratio_models())
+def test_eta_dm_gradient_matches_central_difference(case):
+    net, sched, ratios, _ = case
+    params = ratio_params(net)
+    targets = np.array(sched.targets) - 1
+
+    def eta(r):
+        return path_walk(net, through_of(net, sched, r))[np.arange(sched.period), targets].mean()
+
+    numeric = central_differences(lambda r: np.array([eta(r)]), ratios)[0]
+    estimates = tuple(RatioEstimate(cid, st, r, 0.0) for (cid, st), r in zip(params, ratios))
+
+    def result_with(covariance):
+        sigmas = (0.0,) * len(params)
+        fit = FitResult(tuple(params), tuple(ratios), sigmas, covariance, 0.0, 0, True)
+        return RatioEstimationResult(estimates, fit)
+
+    result = result_with(np.zeros((len(params), len(params))))
+    value, _ = eta_dm_from_ratios(result, net, sched)
+    assert value == switching_efficiency(net, sched, result.table())
+    # sigma = |gradient . v| for the covariance v v^T: unit vectors give every
+    # |gradient_j|, and v along the central difference then fixes the signs
+    tolerance = 1e-6 * np.abs(numeric).max() + 1e-15
+    for v in np.eye(len(params)):
+        _, sigma = eta_dm_from_ratios(result_with(np.outer(v, v)), net, sched)
+        assert abs(sigma - abs(numeric @ v)) <= tolerance
+    norm = np.linalg.norm(numeric)
+    if norm > 0:
+        v = numeric / norm
+        _, sigma = eta_dm_from_ratios(result_with(np.outer(v, v)), net, sched)
+        assert abs(sigma - norm) <= tolerance
+
+
+def test_deviance_derivative_matches_central_difference():
+    y = np.array([0.0, 0.0, 3.0, 3.0, 3.0, 250.0, 250.0, 1e6])
+    m = np.array([0.5, 7.0, 3.0, 1.2, 9.0, 250.0, 231.5, 1e6 + 700.0])
+    r, dr = analysis._deviance(m, y)
+    np.testing.assert_allclose(r**2, 2.0 * (m - y + xlogy(y, y / m)), rtol=1e-12, atol=1e-300)
+    np.testing.assert_array_equal(np.sign(r), np.sign(m - y))
+    # at the model equal to the counts (r = 0) the derivative is the limit 1/sqrt(m)
+    assert r[2] == r[5] == 0.0
+    h = 1e-4 * m
+    numeric = (analysis._deviance(m + h, y)[0] - analysis._deviance(m - h, y)[0]) / (2 * h)
+    np.testing.assert_allclose(dr, numeric, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

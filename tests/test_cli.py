@@ -86,6 +86,13 @@ def test_simulate_round_trip(tmp_path, capsys, bright_config):
     assert abs(len(stream) - 45000) < 4 * np.sqrt(150000 * 0.3 * 0.7)
 
 
+def test_simulate_zero_pulses_prints_no_rates(tmp_path, capsys, bright_config):
+    # every channel's rate used to print as nan
+    out = tmp_path / "empty.tags"
+    assert run(["simulate", "--config", bright_config, "--out", out, "--pulses", 0]) == 0
+    assert capsys.readouterr().out == "pulses=0 records=0\n"
+
+
 def test_simulate_deterministic_and_shardable(tmp_path, bright_config):
     paths = [tmp_path / name for name in ("a.tags", "b.tags", "c.tags")]
     assert run(["simulate", "--config", bright_config, "--out", paths[0]]) == 0

@@ -6,7 +6,7 @@ import math
 import pytest
 import yaml
 
-from demuxsim import ConfigError, RunConfig, load_config
+from demuxsim import ConfigError, DomainError, RunConfig, cli, load_config
 
 BASE = yaml.safe_load(
     """
@@ -305,6 +305,18 @@ def test_simulation_section_checked_at_load():
     doc["simulation"]["pump_power_uw"] = "lots"
     with pytest.raises(ConfigError, match="simulation.pump_power_uw must be a number"):
         RunConfig(doc)
+
+
+def test_simulation_values_checked_at_load(tmp_path):
+    # a negative pump power used to load, and predict with it, and fail only at simulate
+    doc = variant()
+    doc["simulation"]["pump_power_uw"] = -1.0
+    path = tmp_path / "negative.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(DomainError, match="pump_power_uw"):
+        load_config(path)
+    for command in (["predict"], ["simulate", "--out", str(tmp_path / "run.tags")]):
+        assert cli.main(command + ["--config", str(path)]) == 2
 
 
 @pytest.mark.parametrize("targets", [[1.7, 2.2], [1, "2"], [True, 2], "12"])

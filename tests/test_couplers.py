@@ -23,9 +23,9 @@ from demuxsim import (
     schedule_for_cycle,
     switching_efficiency,
 )
-from demuxsim.couplers import SwitchSchedule
+from demuxsim.couplers import SwitchSchedule, _path_products
 
-from conftest import ETA_DM_TABLE, TABLE_RATIOS
+from conftest import ETA_DM_TABLE, TABLE_RATIOS, fractions_with_ends, path_walk, small_trees
 
 THREE_HALF_PI = 3.0 * math.pi / 2.0
 
@@ -341,6 +341,30 @@ def test_routing_is_the_exact_path_product(case):
     rows = routing_by_bin(net, schedule, table)
     assert np.array_equal(rows, path_walk_rows(net, schedule, table))
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@st.composite
+def trees_with_fractions(draw):
+    """A balanced or cascade tree of 2-16 outputs and through[b, k] for 1-4 bins."""
+    net = draw(small_trees)
+    size = draw(st.integers(1, 4)) * len(net.coupler_ids)
+    values = draw(st.lists(fractions_with_ends, min_size=size, max_size=size))
+    return net, np.reshape(values, (-1, len(net.coupler_ids)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_with_fractions())
+def test_path_product_gradient_matches_central_difference(case):
+    net, through = case
+    rows, grad = _path_products(net.hops, through)
+    assert np.array_equal(rows, path_walk(net, through))
+    # rows[b] depends on through[b] only, so one step of column k gives grad[:, k]
+    h = 1e-4
+    for k in range(through.shape[1]):
+        step = np.zeros_like(through)
+        step[:, k] = h
+        numeric = (path_walk(net, through + step) - path_walk(net, through - step)) / (2 * h)
+        np.testing.assert_allclose(grad[:, k], numeric, rtol=1e-6, atol=1e-12)
 
 
 def test_switching_efficiency_of_measured_table(net4, sched4, table):

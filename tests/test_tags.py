@@ -141,6 +141,14 @@ def test_derived_quantities():
     )
 
 
+def test_singles_rates_of_a_zero_pulse_stream_are_refused():
+    # they used to be NaN, with a RuntimeWarning from the division by 0 s
+    stream = make_stream([], pulse_count=0)
+    np.testing.assert_array_equal(stream.singles_counts(), [0, 0, 0, 0])
+    with pytest.raises(DataError, match="pulse_count 0"):
+        stream.singles_rates_hz()
+
+
 def test_strided_columns_round_trip(tmp_path):
     table = np.array([[1, 0], [3, PERIOD_PS], [2, 5 * PERIOD_PS]], dtype=np.uint64)
     stream = TimeTagStream(table[:, 0], table[:, 1], make_meta())  # non-contiguous views
