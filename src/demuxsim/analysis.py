@@ -585,7 +585,6 @@ def fit_saturation(
     power_uw: Sequence[float],
     rate_hz: Sequence[float],
     sigma_hz: Sequence[float] | None = None,
-    initial: tuple[float, float] | None = None,
 ) -> FitResult:
     """Fit the two-fold saturation curve; returns c_max and p0 with errors.
 
@@ -595,8 +594,8 @@ def fit_saturation(
         Pump powers and measured two-fold rates (>= 3 points).
     sigma_hz : array_like, optional
         Per-point standard errors; unweighted fit when omitted.
-    initial : (c_max, p0), optional
-        Starting point; a data-driven default is used when omitted.
+
+    The fit starts from the largest rate and the median nonzero power.
     """
     p = np.asarray(power_uw, dtype=float)
     y = np.asarray(rate_hz, dtype=float)
@@ -614,11 +613,8 @@ def fit_saturation(
     else:
         w = np.ones_like(y)
 
-    if initial is None:
-        c0 = max(float(y.max()), 1e-12)
-        p00 = float(np.median(p[p > 0])) if np.any(p > 0) else 1.0
-    else:
-        c0, p00 = initial
+    c0 = max(float(y.max()), 1e-12)
+    p00 = float(np.median(p[p > 0])) if np.any(p > 0) else 1.0
 
     def residuals(x):
         return (saturation_model(p, x[0], x[1]) - y) * w

@@ -8,6 +8,7 @@ incompatibility, 5 estimation or fit failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -63,8 +64,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def cmd_predict(args) -> int:
     rc = load_config(args.config)
-    include = True if args.include_detectors else None
-    pred_config = rc.prediction_config(include_detectors=include)
+    pred_config = rc.prediction_config()
+    if args.include_detectors:
+        pred_config = dataclasses.replace(pred_config, include_detectors=True)
     n_max = args.n_max if args.n_max is not None else rc.prediction_n_max()
     predictions = predict_rates(pred_config, range(1, n_max + 1))
     lines = ["n,scheme,rate_hz"]
@@ -85,10 +87,10 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     rc = load_config(args.config)
     config = rc.sim_config(pulses=args.pulses, seed=args.seed)
-    if args.shards > 1:
-        stream = shard_and_merge(config, args.shards)
-    else:
+    if args.shards == 1:
         stream = run_simulation(config)
+    else:  # refuses fewer than one shard
+        stream = shard_and_merge(config, args.shards)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         raise FileNotFoundError(f"output directory {out.parent} does not exist")
@@ -120,13 +122,10 @@ def _check_compatibility(rc: RunConfig, stream) -> None:
 
 
 def _schedule_for_stream(rc: RunConfig, stream):
-    meta = stream.meta
-    if (
-        rc.schedule.period == meta.schedule_period
-        and rc.schedule.targets == meta.schedule_targets
-    ):
+    targets = stream.meta.schedule_targets
+    if rc.schedule.targets == targets:
         return rc.schedule
-    return schedule_for_cycle(rc.network, targets=meta.schedule_targets)
+    return schedule_for_cycle(rc.network, targets=targets)
 
 
 def _load_streams(rc: RunConfig, paths) -> list:
@@ -190,9 +189,7 @@ def _analyze_histograms(rc, streams, args, out_dir: Path) -> int:
 
 def _analyze_nfold(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
-    channels = _parse_channels(args.channels) if args.channels else tuple(
-        stream.meta.schedule_targets[: stream.meta.schedule_period]
-    )
+    channels = _parse_channels(args.channels) if args.channels else stream.meta.schedule_targets
     result = analysis.count_nfold(stream, channels)
     doc = {
         "n": result.n,

@@ -24,7 +24,7 @@ from .couplers import (
     switching_efficiency,
 )
 from .errors import ConfigError
-from .rates import EmitterParams, LossBudget, PredictionConfig
+from .rates import EmitterParams, LossBudget, PredictionConfig, compose_transmission
 from .simulate import SimConfig
 
 __all__ = ["CONFIG_VERSION", "load_config", "RunConfig"]
@@ -141,9 +141,9 @@ class RunConfig:
         self.eta_det = self._build_detector()
         self._validate_couplers_cover_network()
         # simulation and prediction are optional, but a document with a typo
-        # must not load cleanly, so both are parsed here
+        # or an out-of-range value must not load cleanly, so both are built here
         self._simulation = self._build_simulation()
-        self._prediction = self._parse_prediction()
+        self._prediction, self._n_max = self._build_prediction()
 
     # -- sections -----------------------------------------------------------
 
@@ -251,7 +251,7 @@ class RunConfig:
                         f"schedule.bins[{i}] must set exactly the network's couplers "
                         f"{self.network.coupler_ids!r}, got {sorted(bins[-1])!r}"
                     )
-            return SwitchSchedule(period=len(bins), bins=tuple(bins), targets=targets)
+            return SwitchSchedule(bins=tuple(bins), targets=targets)
         raise ConfigError(f"unknown schedule.kind {kind!r}")
 
     def _build_budget(self) -> LossBudget:
@@ -297,9 +297,6 @@ class RunConfig:
             return None
         sec = _require_mapping(sec, "simulation")
         _check_keys(sec, _SIMULATION_KEYS, "simulation")
-        seed = sec["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("simulation.seed must be an integer")
         return SimConfig(
             emitter=self.emitter,
             network=self.network,
@@ -308,23 +305,31 @@ class RunConfig:
             budget=self.budget,
             eta_det=self.eta_det,
             pump_power_uw=_number(sec, "pump_power_uw", "simulation"),
-            rng_seed=seed,
+            rng_seed=sec["seed"],
             pulse_count=_integer(sec, "pulses", "simulation") if "pulses" in sec else None,
             duration_s=_number(sec, "duration_s", "simulation") if "duration_s" in sec else None,
         )
 
-    def _parse_prediction(self) -> dict:
+    def _build_prediction(self) -> tuple[PredictionConfig, int]:
         sec = self.doc.get("prediction")
-        if sec is None:
-            return {}
-        sec = _require_mapping(sec, "prediction")
+        sec = {} if sec is None else _require_mapping(sec, "prediction")
         _check_keys(sec, _PREDICTION_KEYS, "prediction")
-        parsed = {"include_detectors": bool(sec.get("include_detectors", False))}
+        include = sec.get("include_detectors", False)
+        if not isinstance(include, bool):
+            raise ConfigError(f"prediction.include_detectors must be a boolean, got {include!r}")
         if "eta_dm" in sec:
-            parsed["eta_dm"] = _number(sec, "eta_dm", "prediction")
-        if "n_max" in sec:
-            parsed["n_max"] = _integer(sec, "n_max", "prediction")
-        return parsed
+            eta_dm = _number(sec, "eta_dm", "prediction")
+        else:
+            eta_dm = switching_efficiency(self.network, self.schedule, self.couplers)
+        n_max = _integer(sec, "n_max", "prediction") if "n_max" in sec else 10
+        prediction = PredictionConfig(
+            source=self.emitter,
+            transmission=compose_transmission(self.budget),
+            eta_dm=eta_dm,
+            eta_det=self.eta_det,
+            include_detectors=include,
+        )
+        return prediction, n_max
 
     # -- resolved objects ----------------------------------------------------
 
@@ -338,22 +343,11 @@ class RunConfig:
             run["rng_seed"] = seed
         return dataclasses.replace(self._simulation, **run)
 
-    def prediction_config(self, include_detectors: bool | None = None) -> PredictionConfig:
-        eta_dm = self._prediction.get("eta_dm")
-        if eta_dm is None:
-            eta_dm = switching_efficiency(self.network, self.schedule, self.couplers)
-        if include_detectors is None:
-            include_detectors = self._prediction.get("include_detectors", False)
-        return PredictionConfig(
-            source=self.emitter,
-            transmission=self.budget,
-            eta_dm=eta_dm,
-            eta_det=self.eta_det,
-            include_detectors=include_detectors,
-        )
+    def prediction_config(self) -> PredictionConfig:
+        return self._prediction
 
     def prediction_n_max(self) -> int:
-        return self._prediction.get("n_max", 10)
+        return self._n_max
 
 
 def load_config(path) -> RunConfig:

@@ -197,7 +197,7 @@ class DemuxNetwork:
         return conv(self.root)
 
 
-def balanced_network(n_outputs: int, prefix: str = "sw") -> DemuxNetwork:
+def balanced_network(n_outputs: int) -> DemuxNetwork:
     """Balanced tree over a power-of-two output count, ids in breadth-first order.
 
     The root's through subtree holds the lower half of the outputs; leaf
@@ -214,7 +214,7 @@ def balanced_network(n_outputs: int, prefix: str = "sw") -> DemuxNetwork:
         if hi - lo == 1:
             continue
         k += 1
-        ids[(lo, hi)] = f"{prefix}{k}"
+        ids[(lo, hi)] = f"sw{k}"
         mid = (lo + hi) // 2
         queue.append((lo, mid))
         queue.append((mid, hi))
@@ -232,15 +232,15 @@ def balanced_network(n_outputs: int, prefix: str = "sw") -> DemuxNetwork:
     return DemuxNetwork(assemble(1, n_outputs + 1))
 
 
-def cascade_network(n_outputs: int, prefix: str = "sw") -> DemuxNetwork:
+def cascade_network(n_outputs: int) -> DemuxNetwork:
     """Chain layout: switch k taps output k off its through port."""
     if n_outputs < 2:
         raise ConfigError(f"cascade topology needs n >= 2, got {n_outputs!r}")
 
     def build(k: int):
         if k == n_outputs - 1:
-            return CouplerNode(coupler_id=f"{prefix}{k}", through=k, cross=k + 1)
-        return CouplerNode(coupler_id=f"{prefix}{k}", through=k, cross=build(k + 1))
+            return CouplerNode(coupler_id=f"sw{k}", through=k, cross=k + 1)
+        return CouplerNode(coupler_id=f"sw{k}", through=k, cross=build(k + 1))
 
     return DemuxNetwork(build(1))
 
@@ -254,27 +254,28 @@ class SwitchSchedule:
     """Cyclic drive pattern: one state per coupler per time bin.
 
     targets[k] is the output scheduled for bin k; each bin lasts one pump
-    pulse period.
+    pulse period, and the cycle repeats every len(targets) bins.
     """
 
-    period: int
     bins: tuple[Mapping[str, str], ...]
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ConfigError(f"schedule period must be >= 1, got {self.period!r}")
+        if not self.bins or len(self.bins) != len(self.targets):
+            raise ConfigError("a schedule needs at least one bin and one target per bin")
         if not all(
             isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in self.targets
         ):
             raise ConfigError(f"schedule targets must be integers, got {self.targets!r}")
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if len(self.bins) != self.period or len(self.targets) != self.period:
-            raise ConfigError("schedule bins/targets must match the period")
         ids = set(self.bins[0])
         for assignment in self.bins:
             if set(assignment) != ids:
                 raise ConfigError("every coupler must be assigned a state in every bin")
+
+    @property
+    def period(self) -> int:
+        return len(self.targets)
 
 
 def schedule_for_cycle(
@@ -298,7 +299,7 @@ def schedule_for_cycle(
         for cid, branch in network.path_to(target):
             assignment[cid] = "on" if branch == "through" else "off"
         bins.append(assignment)
-    return SwitchSchedule(period=len(targets), bins=tuple(bins), targets=targets)
+    return SwitchSchedule(bins=tuple(bins), targets=targets)
 
 
 # ---------------------------------------------------------------------------

@@ -114,35 +114,26 @@ class RatePrediction:
     scheme: str  # "active" or "probabilistic"
     rate_hz: float
     eta_sd: float
-    eta_det: float
-    include_detectors: bool
 
 
 @dataclass(frozen=True)
 class PredictionConfig:
     """Inputs for rate prediction.
 
-    transmission may be a LossBudget (composed internally) or a bare float
-    when the lumped device transmission is known directly.
+    transmission is the lumped device transmission, compose_transmission of
+    a LossBudget when the losses are itemized.
     """
 
     source: EmitterParams
-    transmission: "LossBudget | float"
+    transmission: float
     eta_dm: float
     eta_det: float = 1.0
     include_detectors: bool = False
 
     def __post_init__(self) -> None:
+        _check_unit_interval("transmission", self.transmission)
         _check_unit_interval("eta_dm", self.eta_dm)
         _check_unit_interval("eta_det", self.eta_det)
-        if isinstance(self.transmission, (int, float)):
-            _check_unit_interval("transmission", float(self.transmission))
-
-    @property
-    def transmission_value(self) -> float:
-        if isinstance(self.transmission, LossBudget):
-            return compose_transmission(self.transmission)
-        return float(self.transmission)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +231,7 @@ def saturation_brightness(pump_power_uw: float, p0_uw: float, max_value: float) 
 
 
 def _active_rate(config: PredictionConfig, n: int) -> RatePrediction:
-    eta_sd = config.source.saturated_brightness * config.transmission_value
+    eta_sd = config.source.saturated_brightness * config.transmission
     return _prediction(config, n, "active", eta_sd, s_active(n, config.eta_dm))
 
 
@@ -259,8 +250,6 @@ def _prediction(
         scheme=scheme,
         rate_hz=n_fold_rate(n, config.source.pump_rate_hz, eta_sd, eta_det, s_dm),
         eta_sd=eta_sd,
-        eta_det=config.eta_det,
-        include_detectors=config.include_detectors,
     )
 
 

@@ -23,7 +23,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,8 +69,8 @@ def second_photon_probability(p1: float, g2_zero: float) -> float:
 class SimConfig:
     """Fully resolved simulation inputs.
 
-    Exactly one of pulse_count / duration_s must be given; rng_seed is
-    mandatory so no run is silently irreproducible.
+    Exactly one of pulse_count / duration_s must be given; rng_seed is a
+    mandatory integer >= 0 so no run is silently irreproducible.
     """
 
     emitter: EmitterParams
@@ -95,8 +95,9 @@ class SimConfig:
             raise DomainError(f"eta_det must lie in [0, 1], got {self.eta_det!r}")
         if self.pump_power_uw < 0:
             raise DomainError(f"pump_power_uw must be >= 0, got {self.pump_power_uw!r}")
-        if self.rng_seed is None:
-            raise ConfigError("rng_seed is mandatory")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"rng_seed must be an integer >= 0, got {seed!r}")
 
     def resolved_pulse_count(self) -> int:
         if self.pulse_count is not None:
@@ -115,26 +116,13 @@ class SimConfig:
     def device_digest(self) -> str:
         """Digest of the device-defining sections (not the per-run schedule)."""
         doc = {
-            "emitter": {
-                "pump_rate_hz": self.emitter.pump_rate_hz,
-                "saturation_power_uw": self.emitter.saturation_power_uw,
-                "max_brightness": self.emitter.max_brightness,
-                "g2_zero": self.emitter.g2_zero,
-                "polarized_fraction": self.emitter.polarized_fraction,
-                "fiber_coupling": self.emitter.fiber_coupling,
-            },
+            "emitter": asdict(self.emitter),
             "network": self.network.to_dict(),
             "couplers": {
                 cid: {state: float(v) for state, v in sorted(states.items())}
                 for cid, states in sorted(self.couplers.items())
             },
-            "budget": {
-                "mode_overlap": self.budget.mode_overlap,
-                "fresnel_in": self.budget.fresnel_in,
-                "fresnel_out": self.budget.fresnel_out,
-                "propagation_db_per_cm": self.budget.propagation_db_per_cm,
-                "device_length_cm": self.budget.device_length_cm,
-            },
+            "budget": asdict(self.budget),
             "eta_det": self.eta_det,
             "pump_power_uw": self.pump_power_uw,
         }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ class StreamMeta:
     n_channels: int
     schedule_period: int
     schedule_targets: tuple[int, ...]
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
         """Refuse any value no simulated run can produce, naming its field."""
@@ -83,17 +82,7 @@ class StreamMeta:
         object.__setattr__(self, "schedule_targets", tuple(targets))
 
     def to_dict(self) -> dict:
-        return {
-            "format": FORMAT_NAME,
-            "format_version": self.format_version,
-            "config_digest": self.config_digest,
-            "pump_rate_hz": self.pump_rate_hz,
-            "pulse_period_ps": self.pulse_period_ps,
-            "pulse_count": self.pulse_count,
-            "n_channels": self.n_channels,
-            "schedule_period": self.schedule_period,
-            "schedule_targets": list(self.schedule_targets),
-        }
+        return {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StreamMeta":
@@ -103,15 +92,7 @@ class StreamMeta:
         if doc.get("format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported format_version {doc.get('format_version')!r}")
         try:
-            return cls(
-                config_digest=doc["config_digest"],
-                pump_rate_hz=doc["pump_rate_hz"],
-                pulse_period_ps=doc["pulse_period_ps"],
-                pulse_count=doc["pulse_count"],
-                n_channels=doc["n_channels"],
-                schedule_period=doc["schedule_period"],
-                schedule_targets=doc["schedule_targets"],
-            )
+            return cls(**{field.name: doc[field.name] for field in fields(cls)})
         except KeyError as exc:
             raise DataError(f"sidecar is missing {exc}") from None
 

@@ -96,10 +96,11 @@ def path_walk(network, through) -> np.ndarray:
     """Oracle: rows[b, o], output o + 1's hop fractions multiplied from the root to its leaf.
 
     through[b, k] is switch network.coupler_ids[k]'s through fraction in bin b.
-    Nothing checks its range, so central differences may step past 0 and 1.
+    Nothing checks its range, so central differences may step past 0 and 1,
+    and rows take through's dtype, so complex steps pass through.
     """
     column = {cid: k for k, cid in enumerate(network.coupler_ids)}
-    rows = np.ones((len(through), network.n_outputs))
+    rows = np.ones((len(through), network.n_outputs), np.result_type(through, float))
     for b, fractions in enumerate(through):
         for o in range(network.n_outputs):
             for cid, branch in network.path_to(o + 1):

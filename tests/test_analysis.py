@@ -787,6 +787,15 @@ def central_differences(function, x, h=1e-4) -> np.ndarray:
     return np.column_stack([(function(x + e) - function(x - e)) / (2 * h) for e in steps])
 
 
+COMPLEX_STEP = 1e-30
+
+
+def complex_steps(function, x) -> np.ndarray:
+    """Derivatives Im f(x + ih e_j) / h of an analytic f: no difference, so nothing cancels."""
+    steps = np.eye(x.size) * (1j * COMPLEX_STEP)
+    return np.column_stack([function(x + e).imag / COMPLEX_STEP for e in steps])
+
+
 @settings(max_examples=60, deadline=None)
 @given(ratio_models())
 def test_class_area_jacobian_matches_central_difference(case):
@@ -798,10 +807,13 @@ def test_class_area_jacobian_matches_central_difference(case):
     first, second = np.array(pairs).T - 1
     model, jac = analysis._class_area_model(x, net.hops, columns, first, second, terms)
     np.testing.assert_allclose(model, class_areas_oracle(x, net, sched, pairs, terms), rtol=1e-12)
-    numeric = central_differences(lambda v: class_areas_oracle(v, net, sched, pairs, terms), x)
-    # relative to the largest entry: a derivative that cancels to 0 leaves
-    # rounding of the areas in its difference quotient
-    np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max())
+    # complex steps, not central differences: a ratio of 3.45e-56 made an h = 1e-4
+    # difference cancel to 0 against an exact derivative of 9.16e-56
+    numeric = complex_steps(lambda v: class_areas_oracle(v, net, sched, pairs, terms), x)
+    # relative to the largest entry, floored at the smallest derivative whose
+    # h-scaled imaginary part is still a normal float
+    atol = max(1e-6 * np.abs(numeric).max(), np.finfo(float).tiny / COMPLEX_STEP)
+    np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=atol)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -57,6 +58,19 @@ def test_predict_stdout(capsys):
     assert out[-1].startswith("# eta_dm=0.809625")
 
 
+def test_predict_include_detectors(tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    code = run(["predict", "--config", "configs/device.yaml", "--include-detectors", "--out", out])
+    assert code == 0
+    rc = load_config("configs/device.yaml")
+    config = dataclasses.replace(rc.prediction_config(), include_detectors=True)
+    expected = [f"{p.n},{p.scheme},{p.rate_hz:.10e}" for p in predict_rates(config, range(1, 7))]
+    assert out.read_text().splitlines() == ["n,scheme,rate_hz"] + expected
+    assert "include_detectors=True" in capsys.readouterr().out
+    assert run(["predict", "--config", "configs/device.yaml", "--out", out]) == 0
+    assert out.read_text().splitlines()[1:] != expected  # eta_det 0.30 is applied only on request
+
+
 def test_predict_to_file(tmp_path, capsys):
     out = tmp_path / "rates.csv"
     code = run(
@@ -104,6 +118,21 @@ def test_simulate_deterministic_and_shardable(tmp_path, bright_config):
     assert blobs[0] == blobs[1] == blobs[2]
     metas = [json.loads((p.parent / (p.name + ".meta.json")).read_text()) for p in paths]
     assert metas[0] == metas[1] == metas[2]
+
+
+@pytest.mark.parametrize("shards", [0, -4])
+def test_exit_code_shard_count_below_one(tmp_path, bright_config, shards):
+    # used to run single-shot and exit 0
+    out = tmp_path / "run.tags"
+    assert run(["simulate", "--config", bright_config, "--out", out, "--shards", shards]) == 2
+    assert not out.exists()
+
+
+def test_exit_code_negative_seed(tmp_path, bright_config):
+    # used to end in a ValueError traceback from numpy's SeedSequence
+    out = tmp_path / "run.tags"
+    assert run(["simulate", "--config", bright_config, "--out", out, "--seed", -1]) == 2
+    assert not out.exists()
 
 
 def test_simulate_csv_and_overrides(tmp_path, bright_config):

@@ -72,7 +72,7 @@ def test_shipped_projection_configs():
     cfg = qd.prediction_config()
     assert cfg.eta_dm == 0.78
     assert not cfg.include_detectors
-    assert math.isclose(cfg.transmission_value, 0.40562466, rel_tol=1e-9)
+    assert math.isclose(cfg.transmission, 0.40562466, rel_tol=1e-9)
     assert math.isclose(cfg.source.saturated_brightness, 0.15 * 0.65, rel_tol=1e-12)
     fiber = load_config("configs/predict_fiber_qd.yaml")
     assert math.isclose(fiber.prediction_config().source.saturated_brightness, 0.14)
@@ -233,7 +233,6 @@ def test_prediction_overrides():
     rc = RunConfig(variant(prediction={"eta_dm": 0.78, "include_detectors": True}))
     cfg = rc.prediction_config()
     assert cfg.eta_dm == 0.78 and cfg.include_detectors
-    assert not rc.prediction_config(include_detectors=False).include_detectors
     assert rc.prediction_n_max() == 10
     with pytest.raises(ConfigError, match="unknown key"):
         RunConfig(variant(prediction={"nmax": 5}))
@@ -356,3 +355,46 @@ def test_coupler_voltages_must_be_finite():
     }
     with pytest.raises(ConfigError, match="couplers.sw1.voltages_v.on must be finite"):
         RunConfig(doc)
+
+
+def test_prediction_values_checked_at_load(tmp_path):
+    # eta_dm 1.5 used to load, and simulate and analyze with it; only predict refused it
+    doc = variant(prediction={"eta_dm": 1.5})
+    path = tmp_path / "eta.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(DomainError, match="eta_dm"):
+        load_config(path)
+    for command in (
+        ["predict"],
+        ["simulate", "--out", str(tmp_path / "run.tags")],
+        ["analyze", "--stream", str(tmp_path / "run.tags"), "--which", "nfold"],
+    ):
+        assert cli.main(command + ["--config", str(path)]) == 2
+
+
+def test_null_prediction_section_loads_as_empty():
+    doc = variant()
+    doc["prediction"] = None
+    rc = RunConfig(doc)
+    assert rc.prediction_n_max() == 10
+    assert math.isclose(rc.prediction_config().eta_dm, 0.809625, abs_tol=1e-12)
+    assert not rc.prediction_config().include_detectors
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+def test_include_detectors_must_be_a_boolean(value):
+    # bool("no") is True, so a quoted "no" used to switch the detectors on
+    with pytest.raises(ConfigError, match="prediction.include_detectors"):
+        RunConfig(variant(prediction={"include_detectors": value}))
+
+
+def test_negative_seed_fails_at_load(tmp_path):
+    # used to load and end simulate in a ValueError from numpy's SeedSequence
+    doc = variant()
+    doc["simulation"]["seed"] = -1
+    path = tmp_path / "seed.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match="rng_seed"):
+        load_config(path)
+    for command in (["predict"], ["simulate", "--out", str(tmp_path / "run.tags")]):
+        assert cli.main(command + ["--config", str(path)]) == 2

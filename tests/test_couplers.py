@@ -207,10 +207,10 @@ def test_schedule_subset_and_validation(net4):
     with pytest.raises(ConfigError):
         schedule_for_cycle(net4, targets=(1, 9))
     with pytest.raises(ConfigError):
-        SwitchSchedule(period=2, bins=({"sw1": "on"},), targets=(1, 2))
+        SwitchSchedule(bins=({"sw1": "on"},), targets=(1, 2))
     with pytest.raises(ConfigError):
         SwitchSchedule(
-            period=2, bins=({"sw1": "on"}, {"sw2": "on"}), targets=(1, 2)
+            bins=({"sw1": "on"}, {"sw2": "on"}), targets=(1, 2)
         )
 
 
@@ -221,7 +221,7 @@ def test_schedule_targets_must_be_integers(net4, targets):
         schedule_for_cycle(net4, targets=targets)
     bins = tuple({"sw1": "off", "sw2": "off", "sw3": "off"} for _ in targets)
     with pytest.raises(ConfigError, match="schedule targets must be integers"):
-        SwitchSchedule(period=len(targets), bins=bins, targets=tuple(targets))
+        SwitchSchedule(bins=bins, targets=tuple(targets))
 
 
 def test_schedule_targets_accept_numpy_integers(net4):
@@ -262,7 +262,7 @@ ratio_lists = st.lists(
 
 def one_bin(fractions: dict):
     """A one-bin schedule holding each coupler in a state "set" of the given fraction."""
-    schedule = SwitchSchedule(period=1, bins=({cid: "set" for cid in fractions},), targets=(1,))
+    schedule = SwitchSchedule(bins=({cid: "set" for cid in fractions},), targets=(1,))
     return schedule, {cid: {"set": f} for cid, f in fractions.items()}
 
 
@@ -318,7 +318,7 @@ def routed_trees(draw):
     if draw(st.booleans()):
         return net, schedule_for_cycle(net, targets), table
     bins = tuple({cid: draw(st.sampled_from(states)) for cid in net.coupler_ids} for _ in targets)
-    return net, SwitchSchedule(period=len(targets), bins=bins, targets=tuple(targets)), table
+    return net, SwitchSchedule(bins=bins, targets=tuple(targets)), table
 
 
 def path_walk_rows(net, schedule, table):
@@ -419,3 +419,10 @@ def test_full_cycle_single_channel_scaling_is_mean_occupancy(ratios):
     rows = routing_by_bin(net, sched, table)
     s = physical_nfold_scaling(net, sched, table, (2,))
     assert math.isclose(s, float(rows[:, 1].mean()), rel_tol=0, abs_tol=1e-12)
+
+
+def test_schedule_period_is_its_target_count():
+    bins = tuple({"sw1": state} for state in ("on", "off", "on"))
+    assert SwitchSchedule(bins=bins, targets=(2, 1, 2)).period == 3
+    with pytest.raises(ConfigError, match="at least one bin"):
+        SwitchSchedule(bins=(), targets=())

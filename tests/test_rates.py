@@ -194,7 +194,7 @@ def test_probabilistic_baseline_excludes_device_transmission():
     # bare source
     assert math.isclose(rates[(1, "probabilistic")], 80e6 * 0.0975, rel_tol=1e-12)
     assert math.isclose(
-        rates[(1, "active")], 80e6 * 0.0975 * config.transmission_value, rel_tol=1e-12
+        rates[(1, "active")], 80e6 * 0.0975 * config.transmission, rel_tol=1e-12
     )
 
 
@@ -221,5 +221,5 @@ def test_detector_inclusion_scales_both_schemes():
 def test_prediction_uses_composed_budget():
     source = EmitterParams(pump_rate_hz=80e6, saturation_power_uw=1.0, max_brightness=0.2)
     budget = LossBudget(mode_overlap=0.5, fresnel_in=0.1, fresnel_out=0.0)
-    config = PredictionConfig(source=source, transmission=budget, eta_dm=0.9)
-    assert math.isclose(config.transmission_value, 0.45, rel_tol=1e-12)
+    config = PredictionConfig(source=source, transmission=compose_transmission(budget), eta_dm=0.9)
+    assert math.isclose(config.transmission, 0.45, rel_tol=1e-12)

@@ -3,7 +3,7 @@
 import hashlib
 import importlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,11 +16,14 @@ from demuxsim import (
     LossBudget,
     SimConfig,
     balanced_network,
+    load_config,
     routing_by_bin,
     schedule_for_cycle,
     second_photon_probability,
     shard_and_merge,
+    sidecar_path,
     simulate,
+    write_stream,
 )
 
 from conftest import TABLE_RATIOS, make_bright_sim, make_device_budget
@@ -111,6 +114,46 @@ def test_device_digest_covers_device_not_run():
         base, couplers={**{cid: dict(s) for cid, s in TABLE_RATIOS.items()}, "sw1": {"on": 0.5, "off": 0.5}}
     )
     assert base.device_digest() != retabled.device_digest()
+
+
+@pytest.mark.parametrize("seed", [-1, True, 2.5, "3"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # a negative seed used to fail in numpy's SeedSequence with a ValueError
+    with pytest.raises(ConfigError, match="rng_seed"):
+        replace(make_bright_sim(brightness=0.3, pulses=100, seed=1), rng_seed=seed)
+
+
+def test_numpy_integer_seeds_draw_as_python_integers():
+    cfg = make_bright_sim(brightness=0.3, pulses=5000, seed=11)
+    assert simulate(replace(cfg, rng_seed=np.int64(11))) == simulate(cfg)
+    assert simulate(replace(cfg, rng_seed=np.uint32(0))) == simulate(replace(cfg, rng_seed=0))
+
+
+def test_device_digest_covers_every_emitter_and_budget_field():
+    base = replace(make_bright_sim(brightness=0.2, pulses=10, seed=3), budget=make_device_budget())
+    for section in ("emitter", "budget"):
+        part = getattr(base, section)
+        for field in fields(part):
+            changed = replace(part, **{field.name: getattr(part, field.name) * 0.5 + 0.25})
+            assert replace(base, **{section: changed}).device_digest() != base.device_digest()
+
+
+def test_device_digest_and_sidecar_are_pinned(tmp_path):
+    # computed before the digest and sidecar were written from their dataclasses
+    rc = load_config("configs/device.yaml")
+    config = rc.sim_config(pulses=100_000, seed=3)
+    assert config.device_digest() == (
+        "8fbf2fa6cabfdef1ff6c9c11903845cc20647bd4233353088515c5e4b39c1f73"
+    )
+    path = tmp_path / "run.tags"
+    write_stream(simulate(config), path)
+    assert sidecar_path(path).read_text() == (
+        '{\n  "config_digest": "8fbf2fa6cabfdef1ff6c9c11903845cc20647bd4233353088515c5e4b39c1f73",\n'
+        '  "format": "ttag-columnar",\n  "format_version": 1,\n  "n_channels": 4,\n'
+        '  "n_records": 239,\n  "pulse_count": 100000,\n  "pulse_period_ps": 12500,\n'
+        '  "pump_rate_hz": 80000000.0,\n  "schedule_period": 4,\n'
+        '  "schedule_targets": [\n    1,\n    2,\n    3,\n    4\n  ]\n}\n'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,19 @@ def test_sidecar_validation(tmp_path):
         read_stream(path)
 
 
+def test_sidecar_is_the_format_and_every_meta_field(tmp_path):
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, 0)]), path)
+    doc = json.loads(sidecar_path(path).read_text())
+    names = [field.name for field in dataclasses.fields(StreamMeta)]
+    assert set(doc) == {"format", "format_version", "n_records", *names}
+    for name in names:
+        partial = {key: value for key, value in doc.items() if key != name}
+        sidecar_path(path).write_text(json.dumps(partial))
+        with pytest.raises(DataError, match=f"sidecar is missing '{name}'"):
+            read_stream(path)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
