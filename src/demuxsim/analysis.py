@@ -35,8 +35,6 @@ __all__ = [
     "count_nfold",
     "eta_sd_from_singles",
     "g2_ratio",
-    "RatioEstimate",
-    "RatioEstimationResult",
     "estimate_splitting_ratios",
     "eta_dm_from_ratios",
     "saturation_model",
@@ -396,33 +394,11 @@ def eta_sd_from_singles(
 # splitting-ratio estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RatioEstimate:
-    """One coupler state's estimated through fraction."""
-
-    coupler_id: str
-    state: str
-    ratio: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class RatioEstimationResult:
-    estimates: tuple[RatioEstimate, ...]
-    fit: FitResult
-
-    def table(self) -> dict[str, dict[str, float]]:
-        """Estimates in ratio-table form, usable by the routing functions."""
-        table: dict[str, dict[str, float]] = {}
-        for est in self.estimates:
-            table.setdefault(est.coupler_id, {})[est.state] = est.ratio
-        return table
-
-    def get(self, coupler_id: str, state: str) -> RatioEstimate:
-        for est in self.estimates:
-            if est.coupler_id == coupler_id and est.state == state:
-                return est
-        raise KeyError((coupler_id, state))
+def _ratio_params(network: DemuxNetwork) -> dict[str, tuple[str, str]]:
+    """The network's ratios in fit order: fit name "coupler_id:state" -> (coupler_id, state)."""
+    return {
+        f"{cid}:{state}": (cid, state) for cid in network.coupler_ids for state in ("on", "off")
+    }
 
 
 def _class_areas(hist: CoincidenceHistogram, period: int):
@@ -450,10 +426,10 @@ def _class_areas(hist: CoincidenceHistogram, period: int):
     return areas, n_terms
 
 
-def _ratio_columns(network: DemuxNetwork, schedule: SwitchSchedule, params) -> np.ndarray:
-    """columns[b, k]: index in params, (coupler_id, state) pairs, of switch k's ratio in bin b."""
+def _ratio_columns(network: DemuxNetwork, schedule: SwitchSchedule) -> np.ndarray:
+    """columns[b, k]: index in _ratio_params(network) of switch k's ratio in bin b."""
     index: dict[str, dict[str, int]] = {}
-    for i, (cid, state) in enumerate(params):
+    for i, (cid, state) in enumerate(_ratio_params(network).values()):
         index.setdefault(cid, {})[state] = i
     return _through_by_bin(network, schedule, index).astype(np.intp)
 
@@ -496,7 +472,7 @@ def estimate_splitting_ratios(
     histograms: Sequence[CoincidenceHistogram],
     network: DemuxNetwork,
     schedule: SwitchSchedule,
-) -> RatioEstimationResult:
+) -> FitResult:
     """Estimate the through fractions of every coupler's on and off states.
 
     Peak areas, folded to delay classes modulo the schedule period, are fit
@@ -504,6 +480,8 @@ def estimate_splitting_ratios(
     exact derivatives; one free scale per histogram absorbs flux and detector
     efficiencies.  Histograms must cover enough distinct pairs to make all the
     ratios identifiable (all pairs sharing channel 1 suffice for a balanced 1x4).
+    The fit names the ratios "sw1:on", "sw1:off", ... and the scales
+    "scale:a-b" after their pair.
     """
     if not histograms:
         raise EstimationError("no histograms given")
@@ -516,10 +494,10 @@ def estimate_splitting_ratios(
     first, second = np.array(pairs).T - 1
     y = areas.ravel()
 
-    params = [(cid, st) for cid in network.coupler_ids for st in ("on", "off")]
+    params = _ratio_params(network)
     n_ratio = len(params)
-    names = [f"{cid}:{st}" for cid, st in params] + [f"scale:{a}-{b}" for a, b in pairs]
-    columns = _ratio_columns(network, schedule, params)
+    names = [*params, *(f"scale:{a}-{b}" for a, b in pairs)]
+    columns = _ratio_columns(network, schedule)
 
     def residuals(x: np.ndarray) -> np.ndarray:
         model, _ = _class_area_model(x, network.hops, columns, first, second, terms)
@@ -545,29 +523,20 @@ def estimate_splitting_ratios(
             f"ratios not identifiable from pairs {pairs!r}: rank {rank} < {n_ratio}; "
             "provide histograms for more channel pairs"
         )
-
-    estimates = tuple(
-        RatioEstimate(coupler_id=cid, state=st, ratio=fit.values[k], sigma=fit.sigmas[k])
-        for k, (cid, st) in enumerate(params)
-    )
-    return RatioEstimationResult(estimates=estimates, fit=fit)
+    return fit
 
 
-def eta_dm_from_ratios(
-    result: RatioEstimationResult,
-    network: DemuxNetwork,
-    schedule: SwitchSchedule,
-):
-    """Switching efficiency from estimated ratios, with a delta-method sigma."""
-    estimates, n = result.estimates, len(result.estimates)
-    columns = _ratio_columns(network, schedule, [(e.coupler_id, e.state) for e in estimates])
-    rows, grad = _path_products(network.hops, np.array([e.ratio for e in estimates])[columns])
+def eta_dm_from_ratios(fit: FitResult, network: DemuxNetwork, schedule: SwitchSchedule):
+    """Switching efficiency from estimate_splitting_ratios' fit, with a delta-method sigma."""
+    index = [fit.names.index(name) for name in _ratio_params(network)]
+    columns = _ratio_columns(network, schedule)
+    rows, grad = _path_products(network.hops, np.array(fit.values)[index][columns])
     bins, targets = np.arange(schedule.period), np.array(schedule.targets) - 1
     value = float(np.mean(rows[bins, targets]))
     # exact gradient: the mean over bins of d rows[b, target_b] / d ratio, which
     # sums over the switches the ratio sets in bin b
-    gradient = np.bincount(columns.ravel(), grad[bins, :, targets].ravel(), n) / bins.size
-    variance = float(gradient @ result.fit.covariance[:n, :n] @ gradient)
+    gradient = np.bincount(columns.ravel(), grad[bins, :, targets].ravel(), len(index)) / bins.size
+    variance = float(gradient @ fit.covariance[np.ix_(index, index)] @ gradient)
     return value, math.sqrt(max(variance, 0.0))
 
 
@@ -668,7 +637,6 @@ def fit_switching_efficiency(
             covariance=np.array([[float("inf")]]),
             residual_norm=float(np.linalg.norm(rates / sigmas)),
             iterations=0,
-            converged=True,
             at_boundary=True,
         )
 

@@ -68,6 +68,8 @@ def cmd_predict(args) -> int:
     if args.include_detectors:
         pred_config = dataclasses.replace(pred_config, include_detectors=True)
     n_max = args.n_max if args.n_max is not None else rc.prediction_n_max()
+    # crossover_n refuses n_max < 1, so it runs before anything is written
+    cross = crossover_n(pred_config, n_max=n_max)
     predictions = predict_rates(pred_config, range(1, n_max + 1))
     lines = ["n,scheme,rate_hz"]
     for p in predictions:
@@ -77,7 +79,6 @@ def cmd_predict(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    cross = crossover_n(pred_config, n_max=n_max)
     where = "none within range" if cross is None else str(cross)
     print(f"# eta_dm={pred_config.eta_dm:.6f} include_detectors={pred_config.include_detectors} "
           f"crossover_n={where}")
@@ -210,15 +211,15 @@ def _analyze_ratios(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
     schedule = _schedule_for_stream(rc, stream)
     hists = analysis.pair_histograms(stream, _pairs_for(args, stream), args.max_delay_bins)
-    result = analysis.estimate_splitting_ratios(hists, rc.network, schedule)
-    eta_dm, eta_sigma = analysis.eta_dm_from_ratios(result, rc.network, schedule)
+    fit = analysis.estimate_splitting_ratios(hists, rc.network, schedule)
+    eta_dm, eta_sigma = analysis.eta_dm_from_ratios(fit, rc.network, schedule)
+    fit_doc = fit.to_dict()
     doc = {
         "ratios": {
-            f"{e.coupler_id}:{e.state}": {"value": e.ratio, "sigma": e.sigma}
-            for e in result.estimates
+            name: fit_doc["parameters"][name] for name in analysis._ratio_params(rc.network)
         },
         "eta_dm": {"value": eta_dm, "sigma": eta_sigma},
-        "fit": result.fit.to_dict(),
+        "fit": fit_doc,
     }
     path = out_dir / "splitting_ratios.json"
     _write_json(path, doc)

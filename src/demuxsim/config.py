@@ -101,11 +101,9 @@ def _state_name(key: Any) -> str:
     return str(key)
 
 
-def _number(doc: dict, key: str, where: str, default=None) -> float:
+def _number(doc: dict, key: str, where: str) -> float:
     if key not in doc:
-        if default is None:
-            raise ConfigError(f"missing {where}.{key}")
-        return default
+        raise ConfigError(f"missing {where}.{key}")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
@@ -150,14 +148,10 @@ class RunConfig:
     def _build_emitter(self) -> EmitterParams:
         sec = _require_mapping(self.doc["emitter"], "emitter")
         _check_keys(sec, _EMITTER_KEYS, "emitter")
-        return EmitterParams(
-            pump_rate_hz=_number(sec, "pump_rate_mhz", "emitter") * 1e6,
-            saturation_power_uw=_number(sec, "saturation_power_uw", "emitter"),
-            max_brightness=_number(sec, "max_brightness", "emitter"),
-            g2_zero=_number(sec, "g2_zero", "emitter", default=0.0),
-            polarized_fraction=_number(sec, "polarized_fraction", "emitter", default=1.0),
-            fiber_coupling=_number(sec, "fiber_coupling", "emitter", default=1.0),
-        )
+        # absent optional keys take EmitterParams' defaults
+        values = {key: _number(sec, key, "emitter") for key in sec}
+        values["pump_rate_hz"] = values.pop("pump_rate_mhz") * 1e6
+        return EmitterParams(**values)
 
     def _build_network(self) -> DemuxNetwork:
         sec = _require_mapping(self.doc["network"], "network")
@@ -256,9 +250,7 @@ class RunConfig:
 
     def _build_budget(self) -> LossBudget:
         sec = self.doc.get("losses")
-        if sec is None:
-            return LossBudget()
-        sec = _require_mapping(sec, "losses")
+        sec = {} if sec is None else _require_mapping(sec, "losses")
         _check_keys(sec, _LOSSES_KEYS, "losses")
         if "transmission" in sec:
             extra = set(sec) - {"transmission"}
@@ -267,13 +259,8 @@ class RunConfig:
                     f"losses.transmission excludes itemized keys: {sorted(extra)!r}"
                 )
             return LossBudget.from_transmission(_number(sec, "transmission", "losses"))
-        return LossBudget(
-            mode_overlap=_number(sec, "mode_overlap", "losses", default=1.0),
-            fresnel_in=_number(sec, "fresnel_in", "losses", default=0.0),
-            fresnel_out=_number(sec, "fresnel_out", "losses", default=0.0),
-            propagation_db_per_cm=_number(sec, "propagation_db_per_cm", "losses", default=0.0),
-            device_length_cm=_number(sec, "device_length_cm", "losses", default=0.0),
-        )
+        # absent keys take LossBudget's defaults
+        return LossBudget(**{key: _number(sec, key, "losses") for key in sec})
 
     def _build_detector(self) -> float:
         sec = self.doc.get("detectors")
@@ -322,6 +309,8 @@ class RunConfig:
         else:
             eta_dm = switching_efficiency(self.network, self.schedule, self.couplers)
         n_max = _integer(sec, "n_max", "prediction") if "n_max" in sec else 10
+        if n_max < 1:
+            raise ConfigError(f"prediction.n_max must be >= 1, got {n_max!r}")
         prediction = PredictionConfig(
             source=self.emitter,
             transmission=compose_transmission(self.budget),

@@ -200,36 +200,25 @@ class DemuxNetwork:
 def balanced_network(n_outputs: int) -> DemuxNetwork:
     """Balanced tree over a power-of-two output count, ids in breadth-first order.
 
-    The root's through subtree holds the lower half of the outputs; leaf
-    switches put the odd output on the through port.
+    The root is sw1 and switch swi feeds sw(2i) from its through port and
+    sw(2i+1) from its cross port, so the root's through subtree holds the
+    lower half of the outputs; leaf switches put the odd output on the
+    through port.
     """
     if n_outputs < 2 or n_outputs & (n_outputs - 1):
         raise ConfigError(f"balanced topology needs a power-of-two n >= 2, got {n_outputs!r}")
-    # number switches breadth-first so the root is sw1
-    ids: dict[tuple[int, int], str] = {}
-    queue = [(1, n_outputs + 1)]
-    k = 0
-    while queue:
-        lo, hi = queue.pop(0)
-        if hi - lo == 1:
-            continue
-        k += 1
-        ids[(lo, hi)] = f"sw{k}"
-        mid = (lo + hi) // 2
-        queue.append((lo, mid))
-        queue.append((mid, hi))
 
-    def assemble(lo: int, hi: int):
+    def assemble(i: int, lo: int, hi: int):
         if hi - lo == 1:
             return lo
         mid = (lo + hi) // 2
         return CouplerNode(
-            coupler_id=ids[(lo, hi)],
-            through=assemble(lo, mid),
-            cross=assemble(mid, hi),
+            coupler_id=f"sw{i}",
+            through=assemble(2 * i, lo, mid),
+            cross=assemble(2 * i + 1, mid, hi),
         )
 
-    return DemuxNetwork(assemble(1, n_outputs + 1))
+    return DemuxNetwork(assemble(1, 1, n_outputs + 1))
 
 
 def cascade_network(n_outputs: int) -> DemuxNetwork:

@@ -16,6 +16,9 @@ from .errors import DomainError, FitNonConvergenceError
 
 __all__ = ["FitResult", "damped_least_squares", "finite_difference_jacobian"]
 
+# residual evaluations a fit may spend before it raises FitNonConvergenceError
+_MAX_EVALUATIONS = 200
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -27,7 +30,6 @@ class FitResult:
     covariance: np.ndarray
     residual_norm: float
     iterations: int
-    converged: bool
     at_boundary: bool = False
 
     def value(self, name: str) -> float:
@@ -44,7 +46,6 @@ class FitResult:
             },
             "residual_norm": self.residual_norm,
             "iterations": self.iterations,
-            "converged": self.converged,
             "at_boundary": self.at_boundary,
         }
 
@@ -70,7 +71,6 @@ def damped_least_squares(
     jacobian_fn=None,
     names=None,
     bounds=None,
-    max_iterations: int = 200,
 ) -> FitResult:
     """Minimize ||residual_fn(x)||^2 from x0 by the trust-region reflective method.
 
@@ -78,9 +78,9 @@ def damped_least_squares(
     jacobian_fn is its analytic Jacobian, finite differences when omitted.
     bounds is a sequence of (lo, hi) pairs; x0 is clipped into them, and a
     solution with an active bound is reported with at_boundary=True.
-    max_iterations is the budget of residual evaluations; the result's
-    iterations counts Jacobian evaluations (accepted steps plus the start).
-    Raises FitNonConvergenceError when the budget runs out first.
+    The result's iterations counts Jacobian evaluations (accepted steps plus
+    the start).  Raises FitNonConvergenceError when the budget of
+    residual evaluations runs out first.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -96,12 +96,12 @@ def damped_least_squares(
         jac=jacobian_fn,
         bounds=(lo, hi),
         method="trf",
-        max_nfev=max_iterations,
+        max_nfev=_MAX_EVALUATIONS,
     )
     residual_norm = float(np.linalg.norm(res.fun))
     if res.status == 0:
         raise FitNonConvergenceError(
-            f"no convergence after {max_iterations} residual evaluations "
+            f"no convergence after {_MAX_EVALUATIONS} residual evaluations "
             f"(residual norm {residual_norm:.6g})",
             iterations=int(res.njev),
             residual_norm=residual_norm,
@@ -119,6 +119,5 @@ def damped_least_squares(
         covariance=cov,
         residual_norm=residual_norm,
         iterations=int(res.njev),
-        converged=True,
         at_boundary=bool(np.any(res.active_mask)),
     )

@@ -265,7 +265,7 @@ def predict_rates(config: PredictionConfig, n_values) -> list[RatePrediction]:
     ]
 
 
-def crossover_n(config: PredictionConfig, n_max: int = 10) -> int | None:
+def crossover_n(config: PredictionConfig, n_max: int) -> int | None:
     """Smallest n in [1, n_max] where the active scheme strictly beats the passive one.
 
     Both schemes use the same configuration.  Returns None when the active

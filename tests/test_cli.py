@@ -84,6 +84,15 @@ def test_predict_to_file(tmp_path, capsys):
     assert "crossover_n=5" in summary
 
 
+def test_predict_refuses_n_max_below_one_before_writing(tmp_path, capsys):
+    # the CSV header used to be written before crossover_n refused n_max 0
+    assert run(["predict", "--config", "configs/device.yaml", "--n-max", "0"]) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "rates.csv"
+    assert run(["predict", "--config", "configs/device.yaml", "--n-max", "0", "--out", out]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

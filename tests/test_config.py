@@ -372,6 +372,13 @@ def test_prediction_values_checked_at_load(tmp_path):
         assert cli.main(command + ["--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_prediction_n_max_below_one_fails_at_load(n_max):
+    # used to load, and predict then wrote its CSV header before refusing it
+    with pytest.raises(ConfigError, match="prediction.n_max"):
+        RunConfig(variant(prediction={"n_max": n_max}))
+
+
 def test_null_prediction_section_loads_as_empty():
     doc = variant()
     doc["prediction"] = None

@@ -1,0 +1,31 @@
+"""The package's public surface."""
+
+import demuxsim
+
+PUBLIC = {
+    "CoincidenceHistogram", "CompatibilityError", "ConfigError", "CouplerNode",
+    "CouplerParams", "DataError", "DemuxError", "DemuxNetwork", "DomainError",
+    "EmitterParams", "EstimationError", "FitNonConvergenceError", "FitResult",
+    "LossBudget", "NFoldCounts", "PredictionConfig", "RatePrediction", "RunConfig",
+    "SimConfig", "StreamMeta", "SwitchSchedule", "TimeTagStream",
+    "balanced_network", "cascade_network", "channel_delay_bins",
+    "compose_transmission", "count_nfold", "cross_fraction", "crossover_n",
+    "damped_least_squares", "delta_beta_for_cross", "estimate_splitting_ratios",
+    "eta_dm_from_ratios", "eta_sd_from_singles", "finite_difference_jacobian",
+    "fit_saturation", "fit_switching_efficiency", "g2_ratio", "histogram",
+    "load_config", "n_fold_rate", "pair_histograms", "physical_nfold_scaling",
+    "predict_rates", "read_csv", "read_stream", "routing_by_bin", "s_active",
+    "s_active_enumerated", "s_probabilistic", "saturation_brightness",
+    "saturation_model", "schedule_for_cycle", "second_photon_probability",
+    "shard_and_merge", "sidecar_path", "simulate", "switching_efficiency",
+    "write_csv", "write_stream",
+}
+
+
+def test_public_surface_is_pinned():
+    # a change to the surface must show up as an edit of PUBLIC
+    assert len(PUBLIC) == 60
+    assert len(demuxsim.__all__) == len(set(demuxsim.__all__))
+    assert set(demuxsim.__all__) == PUBLIC
+    for name in demuxsim.__all__:
+        assert getattr(demuxsim, name).__module__.startswith("demuxsim.")
