@@ -126,10 +126,6 @@ def pair_histograms(
     ]
 
 
-# records per chunk of the slot front end: small enough that a chunk's
-# temporaries stay in cache, large enough that loop overhead is small
-_CHUNK_RECORDS = 1 << 16
-
 # bitset words per block of the popcount loops: the k*k AND products of a
 # block (512 KB for four channels) stay in cache, and a block's popcounts fit
 # the uint32 sums
@@ -153,8 +149,8 @@ def _span(stream: TimeTagStream) -> int:
     """Pulses from the first record's to the last record's, both included."""
     if len(stream) == 0:
         return 0
-    period = np.uint64(stream.meta.pulse_period_ps)
-    return int(stream.timestamps_ps[-1] // period - stream.timestamps_ps[0] // period) + 1
+    first, last = stream._ends
+    return last // stream.meta.pulse_period_ps - first // stream.meta.pulse_period_ps + 1
 
 
 def _slot_bound(stream: TimeTagStream, horizon: int) -> int:
@@ -181,14 +177,13 @@ def _slot_chunks(stream: TimeTagStream, channels: Sequence[int], horizon: int):
     lookup = np.full(stream.meta.n_channels + 1, -1, dtype=np.intp)
     lookup[list(channels)] = np.arange(len(channels))
     last_pulse = last_slot = None
-    for start in range(0, len(stream), _CHUNK_RECORDS):
-        stamps = stream.timestamps_ps[start : start + _CHUNK_RECORDS]
+    for record_channels, stamps in stream.chunks():
         pulses = stamps // period
         if np.any(pulses * period != stamps):
             raise DataError(
                 f"timestamps must be multiples of the {int(period)} ps pulse period"
             )
-        rows = lookup.take(stream.channels[start : start + _CHUNK_RECORDS])
+        rows = lookup.take(record_channels)
         if len(channels) < stream.meta.n_channels:
             kept = rows >= 0
             pulses, rows = np.compress(kept, pulses), np.compress(kept, rows)

@@ -88,13 +88,13 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     rc = load_config(args.config)
     config = rc.sim_config(pulses=args.pulses, seed=args.seed)
+    out = Path(args.out)
+    if not out.parent.is_dir():  # before the first pulse: a run it cannot write is not drawn
+        raise FileNotFoundError(f"output directory {out.parent} does not exist")
     if args.shards == 1:
         stream = run_simulation(config)
     else:  # refuses fewer than one shard
         stream = shard_and_merge(config, args.shards)
-    out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        raise FileNotFoundError(f"output directory {out.parent} does not exist")
     write_stream(stream, out)
     if args.csv:
         write_csv(stream, out.with_suffix(out.suffix + ".csv"))

@@ -142,7 +142,7 @@ class SimConfig:
 
 
 def _simulate_range(config: SimConfig, start: int, stop: int):
-    """Simulate pulses [start, stop); returns (channels u32, timestamps_ps u64).
+    """Simulate pulses [start, stop); returns (channels u32, timestamps_ps u64) per block.
 
     Grid blocks are independent, so they run on a thread pool (NumPy's fills
     and ufuncs release the GIL) and are gathered in block order.
@@ -202,26 +202,21 @@ def _simulate_range(config: SimConfig, start: int, stop: int):
     workers = min(_WORKERS, len(blocks))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(run_block, blocks))
-    else:
-        parts = [run_block(block) for block in blocks]
-    if not parts:
-        return np.empty(0, np.uint32), np.empty(0, np.uint64)
-    channels, timestamps = zip(*parts)
-    return np.concatenate(channels), np.concatenate(timestamps)
+            return list(pool.map(run_block, blocks))
+    return [run_block(block) for block in blocks]
 
 
 def simulate(config: SimConfig) -> TimeTagStream:
-    """Run the full simulation and return the sorted time-tag stream."""
+    """Run the full simulation; the stream keeps each block's records as made, uncopied."""
     n = config.resolved_pulse_count()
-    return TimeTagStream(*_simulate_range(config, 0, n), config.stream_meta())
+    return TimeTagStream._of_parts(_simulate_range(config, 0, n), config.stream_meta())
 
 
 def shard_and_merge(config: SimConfig, n_shards: int) -> TimeTagStream:
-    """Simulate in contiguous pulse shards and concatenate; identical to simulate()."""
+    """Simulate in contiguous pulse shards and chain their blocks; identical to simulate()."""
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards!r}")
     edges = np.linspace(0, config.resolved_pulse_count(), n_shards + 1).astype(np.int64)
-    parts = [_simulate_range(config, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-    channels, timestamps = (np.concatenate(column) for column in zip(*parts))
-    return TimeTagStream(channels, timestamps, config.stream_meta())
+    shards = zip(edges[:-1].tolist(), edges[1:].tolist())
+    parts = [part for lo, hi in shards for part in _simulate_range(config, lo, hi)]
+    return TimeTagStream._of_parts(parts, config.stream_meta())

@@ -5,12 +5,14 @@ from run start and, at this layer, exact multiples of the pump pulse period.
 The binary format is columnar and little-endian: all channels as u32 followed
 by all timestamps as u64, with run metadata in a JSON sidecar next to the data
 file.  CSV export uses the header ``channel,timestamp_ps``.  Both round-trip
-bit-exactly.
+bit-exactly, and every pass over a stream, in memory or in a file, reads it
+in chunks of _CHUNK_RECORDS records.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -102,37 +104,79 @@ def _is_int(value) -> bool:
 
 
 class TimeTagStream:
-    """Detection events sorted by timestamp, ties broken by channel."""
+    """Detection events sorted by timestamp, ties broken by channel.
+
+    The records are (channels, timestamps_ps) column parts, held in memory or
+    in a data file and read through chunks().  The whole columns .channels,
+    .timestamps_ps and .pulse_indices are for tests: each holds every record.
+    """
 
     def __init__(self, channels: np.ndarray, timestamps_ps: np.ndarray, meta: StreamMeta):
         channels = np.asarray(channels, dtype=np.uint32)
         timestamps_ps = np.asarray(timestamps_ps, dtype=np.uint64)
         if channels.shape != timestamps_ps.shape or channels.ndim != 1:
             raise DataError("channels and timestamps must be 1-d arrays of equal length")
-        later, earlier = timestamps_ps[1:], timestamps_ps[:-1]
-        tied = later == earlier
-        tied &= channels[1:] <= channels[:-1]
-        if np.any(later < earlier) or np.any(tied):
-            raise DataError("records must be sorted by timestamp, ties by channel")
-        if len(channels) and (channels.min() < 1 or channels.max() > meta.n_channels):
-            raise DataError(
-                f"record channels span {channels.min()}..{channels.max()}, "
-                f"outside 1..{meta.n_channels}"
-            )
-        self.channels = channels
-        self.timestamps_ps = timestamps_ps
-        self.meta = meta
+        self._hold([(channels, timestamps_ps)], meta)
+
+    @classmethod
+    def _of_parts(cls, parts, meta: StreamMeta) -> "TimeTagStream":
+        """A stream of parts, column pairs in record order that each pass iterates again."""
+        stream = cls.__new__(cls)
+        stream._hold(parts, meta)
+        return stream
+
+    def _hold(self, parts, meta: StreamMeta) -> None:
+        """Keep parts after one pass that checks order and channels, carried across chunks."""
+        self._parts, self.meta, self._len = parts, meta, 0
+        first = last = None  # (timestamp, channel) of the first record and the last so far
+        for channels, stamps in self.chunks():
+            later, earlier = stamps[1:], stamps[:-1]
+            tied = later == earlier
+            tied &= channels[1:] <= channels[:-1]
+            head = (int(stamps[0]), int(channels[0]))
+            if np.any(later < earlier) or np.any(tied) or (last is not None and head <= last):
+                raise DataError("records must be sorted by timestamp, ties by channel")
+            low, high = channels.min(), channels.max()
+            if low < 1 or high > meta.n_channels:
+                raise DataError(
+                    f"record channels span {low}..{high}, outside 1..{meta.n_channels}"
+                )
+            first, last = first or head, (int(stamps[-1]), int(channels[-1]))
+            self._len += len(channels)
+        self._ends = last and (first[0], last[0])  # first and last timestamps, if any
+
+    def chunks(self):
+        """Yield (channels u32, timestamps_ps u64) in order, 1 to _CHUNK_RECORDS records each."""
+        for channels, stamps in self._parts:
+            for start in range(0, len(channels), _CHUNK_RECORDS):
+                rows = slice(start, start + _CHUNK_RECORDS)
+                yield channels[rows], stamps[rows]
+
+    def _column(self, which: int, dtype) -> np.ndarray:
+        return np.concatenate([np.empty(0, dtype), *(chunk[which] for chunk in self.chunks())])
+
+    @property
+    def channels(self) -> np.ndarray:
+        return self._column(0, np.uint32)
+
+    @property
+    def timestamps_ps(self) -> np.ndarray:
+        return self._column(1, np.uint64)
+
+    @property
+    def pulse_indices(self) -> np.ndarray:
+        # a view: the values astype(np.int64) gives, without a second copy of every record
+        return (self.timestamps_ps // np.uint64(self.meta.pulse_period_ps)).view(np.int64)
 
     def __len__(self) -> int:
-        return len(self.channels)
+        return self._len
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimeTagStream):
             return NotImplemented
-        return (
-            self.meta == other.meta
-            and np.array_equal(self.channels, other.channels)
-            and np.array_equal(self.timestamps_ps, other.timestamps_ps)
+        return self.meta == other.meta and all(
+            np.array_equal(self._column(i, dtype), other._column(i, dtype))
+            for i, dtype in enumerate((np.uint32, np.uint64))
         )
 
     @property
@@ -140,15 +184,11 @@ class TimeTagStream:
         """Total acquisition time implied by the pulse count."""
         return self.meta.pulse_count / self.meta.pump_rate_hz
 
-    @property
-    def pulse_indices(self) -> np.ndarray:
-        # a view: the values astype(np.int64) gives, without a copy of every record
-        return (self.timestamps_ps // np.uint64(self.meta.pulse_period_ps)).view(np.int64)
-
     def singles_counts(self) -> np.ndarray:
         """Per-channel record counts, index 0 = channel 1."""
-        counts = np.bincount(self.channels, minlength=self.meta.n_channels + 1)
-        return counts[1:].astype(np.int64)
+        n = self.meta.n_channels + 1
+        counts = (np.bincount(channels, minlength=n) for channels, _ in self.chunks())
+        return sum(counts, np.zeros(n, np.int64))[1:]
 
     def singles_rates_hz(self) -> np.ndarray:
         if self.meta.pulse_count == 0:
@@ -156,22 +196,53 @@ class TimeTagStream:
         return self.singles_counts() / self.acquisition_s
 
 
+# records per chunk of every pass over a stream: a chunk's temporaries stay in
+# cache, loop overhead is small, and write_csv formats one chunk's text at once
+_CHUNK_RECORDS = 1 << 16
+
+
+@dataclass(frozen=True)
+class _DataFile:
+    """The records of a version-1 data file, read a chunk at a time on each pass."""
+
+    path: Path
+    n_records: int
+
+    def __iter__(self):
+        n, path = self.n_records, self.path
+        with path.open("rb") as channels, path.open("rb") as stamps:
+            size = os.fstat(channels.fileno()).st_size
+            if size != n * RECORD_BYTES:
+                raise DataError(
+                    f"{path}: expected {n * RECORD_BYTES} bytes for {n} records, got {size}"
+                )
+            stamps.seek(4 * n)
+            for start in range(0, n, _CHUNK_RECORDS):
+                count = min(_CHUNK_RECORDS, n - start)
+                raw = channels.read(4 * count), stamps.read(8 * count)
+                if len(raw[0]) != 4 * count or len(raw[1]) != 8 * count:
+                    raise DataError(f"{path} shrank while it was read")
+                yield np.frombuffer(raw[0], "<u4"), np.frombuffer(raw[1], "<u8")
+
+
 def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
 def write_stream(stream: TimeTagStream, path) -> None:
-    """Write the columnar binary file and its JSON sidecar."""
+    """Write the columnar binary file, from the chunks' own buffers, and its JSON sidecar."""
     path = Path(path)
-    with path.open("wb") as fh:  # the columns' own buffers, no byte copies
-        fh.write(np.ascontiguousarray(stream.channels, dtype="<u4"))
-        fh.write(np.ascontiguousarray(stream.timestamps_ps, dtype="<u8"))
+    with path.open("wb") as fh:
+        for which, dtype in enumerate(("<u4", "<u8")):
+            for chunk in stream.chunks():
+                fh.write(np.ascontiguousarray(chunk[which], dtype=dtype))
     doc = stream.meta.to_dict()
     doc["n_records"] = len(stream)
     sidecar_path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_stream(path) -> TimeTagStream:
+    """A stream of the data file at path, checked in one pass; each pass reads it again."""
     path = Path(path)
     side = sidecar_path(path)
     if not side.exists():
@@ -182,28 +253,16 @@ def read_stream(path) -> TimeTagStream:
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed sidecar {side}: {exc!r}") from None
     meta = StreamMeta.from_dict(doc)
-    size = path.stat().st_size
-    if size != n * RECORD_BYTES:
-        raise DataError(f"{path}: expected {n * RECORD_BYTES} bytes for {n} records, got {size}")
-    channels = np.fromfile(path, dtype="<u4", count=n)
-    timestamps = np.fromfile(path, dtype="<u8", count=n, offset=4 * n)
-    return TimeTagStream(channels, timestamps, meta)
+    return TimeTagStream._of_parts(_DataFile(path, n), meta)
 
 
 def write_csv(stream: TimeTagStream, path) -> None:
     path = Path(path)
     with path.open("w") as fh:
         fh.write("channel,timestamp_ps\n")
-        for start in range(0, len(stream), _CSV_CHUNK_RECORDS):
-            rows = slice(start, start + _CSV_CHUNK_RECORDS)
-            fields = np.column_stack([stream.channels[rows], stream.timestamps_ps[rows]])
+        for channels, stamps in stream.chunks():
+            fields = np.column_stack([channels, stamps])
             fh.write(("%d,%d\n" * len(fields)) % tuple(fields.ravel().tolist()))
-
-
-# records per write_csv chunk: one %-format over a chunk's Python ints is
-# several times faster than a format call per record, and a chunk bounds the
-# text held at once
-_CSV_CHUNK_RECORDS = 1 << 16
 
 
 def read_csv(path, meta: StreamMeta) -> TimeTagStream:

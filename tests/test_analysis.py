@@ -35,7 +35,7 @@ from demuxsim import (
     schedule_for_cycle,
     switching_efficiency,
 )
-from demuxsim import analysis, fitting
+from demuxsim import analysis, fitting, tags
 from demuxsim.analysis import CoincidenceHistogram
 
 from conftest import ETA_DM_TABLE, TABLE_RATIOS, fractions_with_ends, path_walk, small_trees
@@ -306,7 +306,7 @@ def edge_stream():
 def chunked(chunk):
     """A context in which the analysis loops walk chunks of chunk records."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_CHUNK_RECORDS", chunk)
+        patch.setattr(tags, "_CHUNK_RECORDS", chunk)
         yield
 
 
@@ -451,6 +451,59 @@ def test_kernels_match_pairwise_enumeration(name, words, wide, max_delay, chunk)
     np.testing.assert_array_equal(one.counts, hists[-1].counts)
 
 
+@st.composite
+def split_records(draw):
+    """Sorted records, cuts that split them into parts, and a chunk size.
+
+    A repeated cut leaves an empty part, and when two records share a pulse
+    one cut falls between them.
+    """
+    events = sorted(draw(st.lists(
+        st.tuples(st.integers(0, 40), st.integers(1, 4)), unique=True, max_size=60
+    )))
+    cuts = draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=8))
+    ties = [k for k in range(1, len(events)) if events[k - 1][0] == events[k][0]]
+    if ties:
+        cuts.append(draw(st.sampled_from(ties)))
+    chunk = draw(st.sampled_from(CHUNK_SIZES + [1 << 16]))
+    return events, sorted(cuts + cuts[:1]), chunk
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=split_records())
+def test_parts_file_and_whole_array_streams_agree(tmp_path_factory, case):
+    events, cuts, chunk = case
+    whole = make_stream([(ch, p) for p, ch in events])
+    channels, stamps = whole.channels, whole.timestamps_ps
+    edges = [0, *cuts, len(events)]
+    parts = TimeTagStream._of_parts(
+        [(channels[a:b], stamps[a:b]) for a, b in zip(edges[:-1], edges[1:])], whole.meta
+    )
+    folder = tmp_path_factory.mktemp("streams")
+    pairs = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+    with chunked(chunk):
+        tags.write_stream(parts, folder / "parts.tags")
+        in_file = tags.read_stream(folder / "parts.tags")
+        streams = [whole, parts, in_file]
+        for i, stream in enumerate(streams):
+            tags.write_stream(stream, folder / f"{i}.tags")
+        results = []
+        for stream in streams:
+            hists = []
+            for name in KERNELS:
+                with kernel(name):
+                    hists.append([h.counts.tolist() for h in pair_histograms(stream, pairs, 5)])
+            nfold = [count_nfold(stream, c).count for c in [(1, 2), (3, 1), (1, 2, 3, 4)]]
+            results.append((hists, nfold, stream.singles_counts().tolist()))
+    assert len(in_file) == len(parts) == len(events)
+    assert results[0][0][0] == results[0][0][1]
+    assert results[1] == results[0] and results[2] == results[0]
+    raw = (folder / "parts.tags").read_bytes()
+    assert raw == channels.astype("<u4").tobytes() + stamps.astype("<u8").tobytes()
+    for i in range(len(streams)):
+        assert (folder / f"{i}.tags").read_bytes() == raw
+
+
 @pytest.mark.parametrize("words", BLOCK_SIZES)
 @settings(max_examples=30, deadline=None)
 @given(case=scheduled_events(), chunk=st.sampled_from(CHUNK_SIZES))
@@ -505,7 +558,7 @@ def test_sparse_analysis_memory_follows_the_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 8 * analysis._CHUNK_RECORDS  # 16 int64 arrays of one chunk
+    assert peak < 16 * 8 * tags._CHUNK_RECORDS  # 16 int64 arrays of one chunk
     # every pair of records of different channels within 64 pulses, once
     def near_pairs(at):
         return int(np.sum(np.searchsorted(at, at + 64, side="right") - np.arange(len(at)) - 1))

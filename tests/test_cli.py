@@ -1,12 +1,14 @@
 """End-to-end command-line workflows and exit codes."""
 
 import dataclasses
+import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from demuxsim import cli, load_config, predict_rates, read_stream
+from demuxsim import cli, load_config, predict_rates, read_stream, tags
 from demuxsim.analysis import saturation_model
 
 BRIGHT_YAML = """\
@@ -156,6 +158,51 @@ def test_simulate_csv_and_overrides(tmp_path, bright_config):
     assert len(csv_lines) - 1 == len(read_stream(out))
 
 
+def traced_peak(argv) -> int:
+    """Peak bytes that tracemalloc saw allocated during one CLI call, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def big_run(tmp_path_factory):
+    """A lossless 4-output run of about 3M records, its config and simulate's peak."""
+    folder = tmp_path_factory.mktemp("big")
+    config = folder / "big.yaml"
+    config.write_text(BRIGHT_YAML.replace("max_brightness: 0.3", "max_brightness: 0.9"))
+    out = folder / "run.tags"
+    # each worker thread holds one block's draws, about 1.5 MB here, so the
+    # bound below holds for a fixed worker count, not for every CPU count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("demuxsim.simulate"), "_WORKERS", 2)
+        peak = traced_peak(["simulate", "--config", config, "--out", out, "--pulses", 3_400_000])
+    return config, out, peak
+
+
+def test_simulate_holds_the_stream_once(big_run):
+    # the blocks used to be concatenated, and the singles cast every channel to intp
+    config, out, peak = big_run
+    assert len(read_stream(out)) > 2_000_000
+    assert peak < 1.3 * out.stat().st_size
+
+
+@pytest.mark.parametrize(
+    "which", [["nfold"], ["ratios", "--pairs", "all"]], ids=["nfold", "ratios"]
+)
+def test_analysis_reads_the_stream_file_in_chunks(tmp_path, big_run, which):
+    # read_stream used to load both whole columns
+    config, out, _ = big_run
+    peak = traced_peak(
+        ["analyze", "--config", config, "--stream", out, "--which", *which,
+         "--out-dir", tmp_path]
+    )
+    assert peak < out.stat().st_size / 2
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -271,6 +318,17 @@ def test_exit_code_missing_output_dir(tmp_path, bright_config):
     assert run(["simulate", "--config", bright_config, "--out", out]) == 3
 
 
+def test_missing_output_dir_is_refused_before_simulating(tmp_path, monkeypatch, bright_config):
+    # the whole run used to be simulated before the directory was looked at
+    def refuse(config):
+        raise AssertionError("simulated a run it cannot write")
+
+    monkeypatch.setattr(cli, "run_simulation", refuse)
+    out = tmp_path / "no_such_dir" / "run.tags"
+    assert run(["simulate", "--config", bright_config, "--out", out, "--csv"]) == 3
+    assert list(tmp_path.iterdir()) == [tmp_path / "bright.yaml"]
+
+
 def test_exit_code_incompatible_stream(tmp_path, simulated_stream):
     other = tmp_path / "other.yaml"
     other.write_text(BRIGHT_YAML.replace("max_brightness: 0.3", "max_brightness: 0.2"))
@@ -297,6 +355,50 @@ def test_exit_code_out_of_range_channel(tmp_path, simulated_stream, bright_confi
     code = run(
         ["analyze", "--config", bright_config, "--stream", simulated_stream,
          "--which", "histograms", "--out-dir", tmp_path]
+    )
+    assert code == 3
+
+
+def read_columns(path):
+    n = len(read_stream(path))
+    return np.fromfile(path, "<u4", count=n), np.fromfile(path, "<u8", count=n, offset=4 * n)
+
+
+@pytest.mark.parametrize("edit", ["swap-at-chunk-edge", "channel-0-last", "channel-5-last"])
+def test_exit_code_bad_records_in_later_file_chunks(
+    tmp_path, monkeypatch, simulated_stream, bright_config, edit
+):
+    monkeypatch.setattr(tags, "_CHUNK_RECORDS", 1000)
+    channels, stamps = read_columns(simulated_stream)
+    assert len(channels) > 3000
+    if edit == "swap-at-chunk-edge":  # each chunk stays sorted on its own
+        channels[[999, 1000]] = channels[[1000, 999]]
+        stamps[[999, 1000]] = stamps[[1000, 999]]
+    else:
+        channels[-1] = int(edit.split("-")[1])
+    simulated_stream.write_bytes(channels.tobytes() + stamps.tobytes())
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "nfold", "--out-dir", tmp_path / "out"]
+    )
+    assert code == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["histograms", "nfold", "ratios"])
+def test_exit_code_data_file_changed_after_reading(
+    tmp_path, monkeypatch, simulated_stream, bright_config, which
+):
+    def read_then_grow(path):
+        stream = read_stream(path)
+        with open(path, "ab") as fh:
+            fh.write(bytes(tags.RECORD_BYTES))
+        return stream
+
+    monkeypatch.setattr(cli, "read_stream", read_then_grow)
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", which, "--pairs", "all", "--out-dir", tmp_path]
     )
     assert code == 3
 

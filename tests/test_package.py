@@ -1,4 +1,9 @@
-"""The package's public surface."""
+"""The package's public surface and its declared requirements."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import demuxsim
 
@@ -29,3 +34,13 @@ def test_public_surface_is_pinned():
     assert set(demuxsim.__all__) == PUBLIC
     for name in demuxsim.__all__:
         assert getattr(demuxsim, name).__module__.startswith("demuxsim.")
+
+
+def test_numpy_floor_has_bitwise_count():
+    # analysis counts bits with np.bitwise_count, new in numpy 2.0; under the
+    # old floor of 1.24, count_nfold ended in an AttributeError traceback
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    requires = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert "numpy>=2.0" in requires
+    assert hasattr(np, "bitwise_count")

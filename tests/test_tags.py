@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from demuxsim import tags
+from demuxsim.tags import RECORD_BYTES
 from demuxsim import (
     DataError,
     StreamMeta,
@@ -75,7 +76,7 @@ def per_record_csv(stream) -> bytes:
 @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
 @pytest.mark.parametrize("records", [0, 1, 7, (1 << 16) + 5])
 def test_write_csv_bytes_match_per_record_writer(tmp_path, monkeypatch, chunk, records):
-    monkeypatch.setattr(tags, "_CSV_CHUNK_RECORDS", chunk)
+    monkeypatch.setattr(tags, "_CHUNK_RECORDS", chunk)
     rng = np.random.default_rng(records)
     # widest fields: channel 2**32 - 1 and timestamps up to the last u64 pulse
     pulses = np.sort(rng.integers(0, (2**64 - 1) // PERIOD_PS, size=records, dtype=np.uint64))
@@ -121,6 +122,76 @@ def test_out_of_range_channel_is_rejected(channel):
     # channel 0 used to be counted as channel n, channels above n raised IndexError
     with pytest.raises(DataError, match="channel"):
         make_stream([(1, 0), (channel, 3)])
+
+
+@pytest.mark.parametrize(
+    "events",
+    [[(1, 3), (2, 4), (1, 2), (3, 5)], [(1, 3), (2, 4), (2, 4), (3, 5)], [(1, 3), (3, 4), (2, 4)]],
+    ids=["out-of-order", "repeated", "mis-tied"],
+)
+def test_sort_validation_across_part_edges(events):
+    # every part is sorted; only the pair on either side of the cut is not
+    channels = np.array([ch for ch, _ in events], dtype=np.uint32)
+    stamps = np.array([p * PERIOD_PS for _, p in events], dtype=np.uint64)
+    parts = [(channels[:2], stamps[:2]), (channels[:0], stamps[:0]), (channels[2:], stamps[2:])]
+    with pytest.raises(DataError, match="sorted"):
+        TimeTagStream._of_parts(parts, make_meta())
+
+
+def write_raw(path, channels, stamps):
+    """A data file and sidecar of the given columns, unchecked."""
+    write_stream(make_stream([]), path)
+    side = sidecar_path(path)
+    side.write_text(side.read_text().replace('"n_records": 0', f'"n_records": {len(channels)}'))
+    path.write_bytes(
+        np.asarray(channels, "<u4").tobytes() + np.asarray(stamps, "<u8").tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "pulses, channels",
+    [([0, 2, 1, 5, 6], [1, 1, 1, 1, 1]), ([0, 2, 2, 5, 6], [1, 3, 2, 1, 1])],
+    ids=["out-of-order", "mis-tied"],
+)
+def test_sort_validation_across_file_chunk_edges(tmp_path, monkeypatch, pulses, channels):
+    monkeypatch.setattr(tags, "_CHUNK_RECORDS", 2)
+    # records 1 and 2 meet at the first chunk edge, each chunk sorted on its own
+    path = tmp_path / "run.tags"
+    write_raw(path, channels, np.array(pulses, dtype=np.uint64) * PERIOD_PS)
+    with pytest.raises(DataError, match="sorted"):
+        read_stream(path)
+
+
+@pytest.mark.parametrize("channel", [0, 5])
+def test_channel_range_checked_in_the_last_file_chunk(tmp_path, monkeypatch, channel):
+    monkeypatch.setattr(tags, "_CHUNK_RECORDS", 2)
+    path = tmp_path / "run.tags"
+    write_raw(path, [1, 2, 3, 4, channel], np.arange(5, dtype=np.uint64) * PERIOD_PS)
+    with pytest.raises(DataError, match="outside 1..4"):
+        read_stream(path)
+
+
+@pytest.mark.parametrize("change", ["grow", "shrink"])
+def test_data_file_size_change_after_read_is_refused(tmp_path, change):
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, 0), (2, 3), (3, 5)]), path)
+    stream = read_stream(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + raw[:RECORD_BYTES] if change == "grow" else raw[:-RECORD_BYTES])
+    with pytest.raises(DataError, match="expected 36 bytes"):
+        stream.singles_counts()
+
+
+def test_data_file_shrinking_during_a_pass_is_refused(tmp_path, monkeypatch):
+    # chunks of 16 and 32 KB, larger than the read buffer, so each read meets the file
+    monkeypatch.setattr(tags, "_CHUNK_RECORDS", 1 << 12)
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, p) for p in range(3 << 12)], pulse_count=3 << 12), path)
+    chunks = read_stream(path).chunks()
+    next(chunks)
+    path.write_bytes(path.read_bytes()[: RECORD_BYTES << 12])
+    with pytest.raises(DataError, match="shrank"):
+        next(chunks)
 
 
 def test_shape_validation():
