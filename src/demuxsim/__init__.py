@@ -3,134 +3,26 @@
 Closed-form rate predictions, a reconfigurable coupler-tree device model, a
 Monte Carlo time-tag simulator, and estimators that recover the device
 parameters back from the tag streams.
+
+Each module's ``__all__`` is its public surface; the package's is their union.
 """
 
-from .analysis import (
-    CoincidenceHistogram,
-    NFoldCounts,
-    count_nfold,
-    estimate_splitting_ratios,
-    eta_dm_from_ratios,
-    eta_sd_from_singles,
-    fit_saturation,
-    fit_switching_efficiency,
-    g2_ratio,
-    histogram,
-    pair_histograms,
-    saturation_model,
-)
-from .config import RunConfig, load_config
-from .couplers import (
-    CouplerNode,
-    CouplerParams,
-    DemuxNetwork,
-    SwitchSchedule,
-    balanced_network,
-    cascade_network,
-    channel_delay_bins,
-    cross_fraction,
-    delta_beta_for_cross,
-    physical_nfold_scaling,
-    routing_by_bin,
-    schedule_for_cycle,
-    switching_efficiency,
-)
-from .errors import (
-    CompatibilityError,
-    ConfigError,
-    DataError,
-    DemuxError,
-    DomainError,
-    EstimationError,
-    FitNonConvergenceError,
-)
-from .fitting import FitResult, damped_least_squares, finite_difference_jacobian
-from .rates import (
-    EmitterParams,
-    LossBudget,
-    PredictionConfig,
-    RatePrediction,
-    compose_transmission,
-    crossover_n,
-    n_fold_rate,
-    predict_rates,
-    s_active,
-    s_active_enumerated,
-    s_probabilistic,
-    saturation_brightness,
-)
-from .simulate import SimConfig, second_photon_probability, shard_and_merge, simulate
-from .tags import (
-    StreamMeta,
-    TimeTagStream,
-    read_csv,
-    read_stream,
-    sidecar_path,
-    write_csv,
-    write_stream,
-)
+from . import analysis, config, couplers, errors, fitting, rates, simulate, tags
+
+# taken before the star imports, which rebind simulate to the function
+__all__ = [
+    name
+    for module in (analysis, config, couplers, errors, fitting, rates, simulate, tags)
+    for name in module.__all__
+]
+
+from .analysis import *
+from .config import *
+from .couplers import *
+from .errors import *
+from .fitting import *
+from .rates import *
+from .simulate import *
+from .tags import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CoincidenceHistogram",
-    "CompatibilityError",
-    "ConfigError",
-    "CouplerNode",
-    "CouplerParams",
-    "DataError",
-    "DemuxError",
-    "DemuxNetwork",
-    "DomainError",
-    "EmitterParams",
-    "EstimationError",
-    "FitNonConvergenceError",
-    "FitResult",
-    "LossBudget",
-    "NFoldCounts",
-    "PredictionConfig",
-    "RatePrediction",
-    "RunConfig",
-    "SimConfig",
-    "StreamMeta",
-    "SwitchSchedule",
-    "TimeTagStream",
-    "balanced_network",
-    "cascade_network",
-    "channel_delay_bins",
-    "compose_transmission",
-    "count_nfold",
-    "cross_fraction",
-    "crossover_n",
-    "damped_least_squares",
-    "delta_beta_for_cross",
-    "estimate_splitting_ratios",
-    "eta_dm_from_ratios",
-    "eta_sd_from_singles",
-    "finite_difference_jacobian",
-    "fit_saturation",
-    "fit_switching_efficiency",
-    "g2_ratio",
-    "histogram",
-    "pair_histograms",
-    "load_config",
-    "n_fold_rate",
-    "physical_nfold_scaling",
-    "predict_rates",
-    "read_csv",
-    "read_stream",
-    "routing_by_bin",
-    "s_active",
-    "s_active_enumerated",
-    "s_probabilistic",
-    "saturation_brightness",
-    "saturation_model",
-    "schedule_for_cycle",
-    "second_photon_probability",
-    "shard_and_merge",
-    "sidecar_path",
-    "simulate",
-    "switching_efficiency",
-    "write_csv",
-    "write_stream",
-]

@@ -192,15 +192,7 @@ def _analyze_nfold(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
     channels = _parse_channels(args.channels) if args.channels else stream.meta.schedule_targets
     result = analysis.count_nfold(stream, channels)
-    doc = {
-        "n": result.n,
-        "channels": list(result.channels),
-        "window_s": result.window_s,
-        "count": result.count,
-        "acquisition_s": result.acquisition_s,
-        "rate_hz": result.rate_hz,
-        "sigma_hz": result.sigma_hz,
-    }
+    doc = {**dataclasses.asdict(result), "rate_hz": result.rate_hz, "sigma_hz": result.sigma_hz}
     path = out_dir / ("nfold_" + "_".join(str(c) for c in channels) + ".json")
     _write_json(path, doc)
     print(f"wrote {path} rate_hz={result.rate_hz:.6g} sigma_hz={result.sigma_hz:.3g}")

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .rates import EmitterParams, LossBudget, PredictionConfig, compose_transmission
 from .simulate import SimConfig
 
-__all__ = ["CONFIG_VERSION", "load_config", "RunConfig"]
+__all__ = ["load_config", "RunConfig"]
 
 CONFIG_VERSION = 1
 

@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the toolkit."""
 
+__all__ = [
+    "DemuxError",
+    "DomainError",
+    "ConfigError",
+    "DataError",
+    "CompatibilityError",
+    "EstimationError",
+    "FitNonConvergenceError",
+]
+
 
 class DemuxError(Exception):
     """Base class for all toolkit errors."""

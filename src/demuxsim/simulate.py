@@ -37,7 +37,6 @@ __all__ = [
     "second_photon_probability",
     "simulate",
     "shard_and_merge",
-    "BLOCK_PULSES",
 ]
 
 BLOCK_PULSES = 1 << 16  # fixed draw-grid block; independent of shard layout

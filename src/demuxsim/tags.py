@@ -203,19 +203,27 @@ _CHUNK_RECORDS = 1 << 16
 
 @dataclass(frozen=True)
 class _DataFile:
-    """The records of a version-1 data file, read a chunk at a time on each pass."""
+    """The records of a version-1 data file, read a chunk at a time on each pass.
+
+    Each pass refuses a file whose size or modification time is not the one
+    read_stream recorded; a rewrite within one mtime tick still goes unseen.
+    """
 
     path: Path
     n_records: int
+    mtime_ns: int
 
     def __iter__(self):
         n, path = self.n_records, self.path
         with path.open("rb") as channels, path.open("rb") as stamps:
-            size = os.fstat(channels.fileno()).st_size
-            if size != n * RECORD_BYTES:
+            status = os.fstat(channels.fileno())
+            if status.st_size != n * RECORD_BYTES:
                 raise DataError(
-                    f"{path}: expected {n * RECORD_BYTES} bytes for {n} records, got {size}"
+                    f"{path}: expected {n * RECORD_BYTES} bytes for {n} records, "
+                    f"got {status.st_size}"
                 )
+            if status.st_mtime_ns != self.mtime_ns:
+                raise DataError(f"{path} was modified after it was read")
             stamps.seek(4 * n)
             for start in range(0, n, _CHUNK_RECORDS):
                 count = min(_CHUNK_RECORDS, n - start)
@@ -249,11 +257,13 @@ def read_stream(path) -> TimeTagStream:
         raise DataError(f"missing sidecar {side}")
     try:
         doc = json.loads(side.read_text())
-        n = int(doc["n_records"])
+        n = doc["n_records"]
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed sidecar {side}: {exc!r}") from None
+    if not _is_int(n) or n < 0:
+        raise DataError(f"n_records must be an integer >= 0, got {n!r}")
     meta = StreamMeta.from_dict(doc)
-    return TimeTagStream._of_parts(_DataFile(path, n), meta)
+    return TimeTagStream._of_parts(_DataFile(path, n, path.stat().st_mtime_ns), meta)
 
 
 def write_csv(stream: TimeTagStream, path) -> None:

@@ -8,6 +8,8 @@ checks the hooks against the real modules.
 
 import importlib
 import importlib.util
+import json
+import time
 from pathlib import Path
 
 from demuxsim import analysis, cli, config, fitting, tags
@@ -57,3 +59,31 @@ def test_trace_hooks_wrap_the_functions_callers_use():
         origin = importlib.import_module(f"demuxsim.{layer}")
         # a caller that imported a different function would bypass the span
         assert target is getattr(origin, function), f"{module.__name__}.{attr} is not {name}"
+
+
+def test_one_traced_repetition_runs_in_process(tmp_path, monkeypatch):
+    # the count lambdas and _check_inputs read demuxsim objects too; the
+    # names test above never calls them, so run bright_4's calls on a small run
+    monkeypatch.syspath_prepend(str(WORKER.parent))  # worker imports checks and spans
+    analyses = [["--which", "ratios", "--pairs", "all"], ["--which", "nfold"]]
+    result = tmp_path / "result.json"
+    spec = {
+        "config": str(WORKER.parent / "configs" / "bright_4.yaml"),
+        "pulses": 20_000,
+        "analyses": analyses,
+        "check_eta": False,
+        "seed": 3,
+        "trace": True,
+        "work": str(tmp_path),
+        "result": str(result),
+        "spawned": time.monotonic(),
+    }
+    load_worker().main(spec)
+    rep = json.loads(result.read_text())
+    assert rep["exit_codes"] == [0] * (1 + len(analyses))
+    assert {span["name"] for span in rep["spans"]} <= TRACED
+    (simulated,) = [span for span in rep["spans"] if span["name"] == "simulate.simulate"]
+    assert simulated["counts"] == {"pulses": 20_000, "records": rep["records"]}
+    assert rep["records"] > 0
+    attempted, failed = importlib.import_module("checks").tally([rep])
+    assert attempted > 0 and failed == 0

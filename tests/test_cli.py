@@ -3,13 +3,14 @@
 import dataclasses
 import importlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from demuxsim import cli, load_config, predict_rates, read_stream, tags
-from demuxsim.analysis import saturation_model
+from demuxsim.analysis import NFoldCounts, saturation_model
 
 BRIGHT_YAML = """\
 config_version: 1
@@ -241,6 +242,17 @@ def test_analyze_nfold(tmp_path, simulated_stream, bright_config):
     assert doc["rate_hz"] == pytest.approx(doc["count"] / doc["acquisition_s"])
 
 
+def test_nfold_json_is_the_counts_and_their_rate(tmp_path, simulated_stream, bright_config):
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "nfold", "--out-dir", tmp_path]
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "nfold_1_2_3_4.json").read_text())
+    names = {field.name for field in dataclasses.fields(NFoldCounts)}
+    assert set(doc) == names | {"rate_hz", "sigma_hz"}
+
+
 def test_analyze_ratios(tmp_path, simulated_stream, bright_config):
     out_dir = tmp_path / "ratios"
     code = run(
@@ -399,6 +411,27 @@ def test_exit_code_data_file_changed_after_reading(
     code = run(
         ["analyze", "--config", bright_config, "--stream", simulated_stream,
          "--which", which, "--pairs", "all", "--out-dir", tmp_path]
+    )
+    assert code == 3
+
+
+@pytest.mark.parametrize("which", ["histograms", "nfold"])
+def test_exit_code_data_file_rewritten_after_reading(
+    tmp_path, monkeypatch, simulated_stream, bright_config, which
+):
+    def read_then_reverse(path):
+        stream = read_stream(path)
+        mtime_ns = os.stat(path).st_mtime_ns
+        channels, stamps = read_columns(path)
+        with open(path, "wb") as fh:
+            fh.write(channels[::-1].tobytes() + stamps[::-1].tobytes())
+        os.utime(path, ns=(mtime_ns + 10**9, mtime_ns + 10**9))
+        return stream
+
+    monkeypatch.setattr(cli, "read_stream", read_then_reverse)
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", which, "--out-dir", tmp_path]
     )
     assert code == 3
 

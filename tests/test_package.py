@@ -1,5 +1,6 @@
 """The package's public surface and its declared requirements."""
 
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,20 @@ def test_public_surface_is_pinned():
     assert set(demuxsim.__all__) == PUBLIC
     for name in demuxsim.__all__:
         assert getattr(demuxsim, name).__module__.startswith("demuxsim.")
+
+
+@pytest.mark.parametrize(
+    "layer", ["analysis", "config", "couplers", "errors", "fitting", "rates", "simulate", "tags"]
+)
+def test_each_module_defines_what_it_exports(layer):
+    # demuxsim star-imports every module, so a name two modules exported would
+    # silently resolve to the later one; each must be its own module's object
+    module = importlib.import_module(f"demuxsim.{layer}")
+    for name in module.__all__:
+        obj = getattr(module, name)
+        assert obj.__module__ == module.__name__, f"{module.__name__}.{name}"
+        assert getattr(demuxsim, name) is obj, f"demuxsim.{name}"
+        assert name in demuxsim.__all__
 
 
 def test_numpy_floor_has_bitwise_count():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from demuxsim import (
     DataError,
     StreamMeta,
     TimeTagStream,
+    count_nfold,
     read_csv,
     read_stream,
     sidecar_path,
@@ -182,6 +184,21 @@ def test_data_file_size_change_after_read_is_refused(tmp_path, change):
         stream.singles_counts()
 
 
+def test_data_file_rewritten_after_read_is_refused(tmp_path):
+    # the same records reversed, same size: the stream read before used to
+    # count them unvalidated, 0 two-folds on (1, 2) where there are 2
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, 0), (2, 1), (1, 4), (2, 5)]), path)
+    stream = read_stream(path)
+    assert count_nfold(stream, (1, 2)).count == 2
+    mtime_ns = path.stat().st_mtime_ns
+    channels, stamps = stream.channels, stream.timestamps_ps
+    path.write_bytes(channels[::-1].tobytes() + stamps[::-1].tobytes())
+    os.utime(path, ns=(mtime_ns + 10**9, mtime_ns + 10**9))
+    with pytest.raises(DataError, match="modified after it was read"):
+        count_nfold(stream, (1, 2))
+
+
 def test_data_file_shrinking_during_a_pass_is_refused(tmp_path, monkeypatch):
     # chunks of 16 and 32 KB, larger than the read buffer, so each read meets the file
     monkeypatch.setattr(tags, "_CHUNK_RECORDS", 1 << 12)
@@ -304,6 +321,17 @@ def test_malformed_sidecar_is_data_error(tmp_path, corrupt):
     side = sidecar_path(path)
     side.write_text(corrupt(side.read_text()))
     with pytest.raises(DataError):
+        read_stream(path)
+
+
+@pytest.mark.parametrize("n_records", ["4", 4.0, 4.9])
+def test_sidecar_n_records_must_be_an_integer(tmp_path, n_records):
+    # int() used to take each of these as 4 records
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, 0), (2, 3), (3, 5), (4, 6)]), path)
+    side = sidecar_path(path)
+    side.write_text(json.dumps({**json.loads(side.read_text()), "n_records": n_records}))
+    with pytest.raises(DataError, match="n_records must be an integer >= 0"):
         read_stream(path)
 
 
