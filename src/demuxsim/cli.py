@@ -176,14 +176,13 @@ def _pairs_for(args, stream) -> list[tuple[int, int]]:
 
 def _analyze_histograms(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
-    period_s = stream.meta.pulse_period_ps * 1e-12
     hists = analysis.pair_histograms(stream, _pairs_for(args, stream), args.max_delay_bins)
     for hist in hists:
         path = out_dir / f"hist_{hist.channel_a}_{hist.channel_b}.csv"
         with path.open("w") as fh:
             fh.write("delay_bins,delay_s,counts\n")
             for d, c in zip(hist.delays, hist.counts):
-                fh.write(f"{int(d)},{d * period_s:.12e},{int(c)}\n")
+                fh.write(f"{int(d)},{d * hist.bin_width_s:.12e},{int(c)}\n")
         print(f"wrote {path} total={hist.total()}")
     return EXIT_OK
 

@@ -125,10 +125,9 @@ class RunConfig:
     def __init__(self, doc: dict, source: str = "<config>"):
         doc = _require_mapping(doc, source)
         _check_keys(doc, _TOP_KEYS, source)
-        if doc.get("config_version") != CONFIG_VERSION:
-            raise ConfigError(
-                f"config_version must be {CONFIG_VERSION}, got {doc.get('config_version')!r}"
-            )
+        version = doc.get("config_version")
+        if not isinstance(version, int) or isinstance(version, bool) or version != CONFIG_VERSION:
+            raise ConfigError(f"config_version must be {CONFIG_VERSION}, got {version!r}")
         self.doc = doc
         self.source = source
         self.emitter = self._build_emitter()

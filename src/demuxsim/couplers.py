@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, DomainError
 
 __all__ = [
     "cross_fraction",
-    "delta_beta_for_cross",
     "CouplerParams",
     "CouplerNode",
     "DemuxNetwork",
@@ -54,37 +52,6 @@ def cross_fraction(kappa_per_mm: float, length_mm: float, delta_beta_per_mm: flo
         raise DomainError(f"length_mm must be positive, got {length_mm!r}")
     g = math.hypot(kappa_per_mm, delta_beta_per_mm / 2.0)
     return (kappa_per_mm / g) ** 2 * math.sin(g * length_mm) ** 2
-
-
-def delta_beta_for_cross(kappa_per_mm: float, length_mm: float, target: float) -> float:
-    """Detuning that yields a given cross fraction.
-
-    Searches the first monotone branch, from zero detuning down to the first
-    zero of the transfer function, so the full (0, max] range at this length
-    is reachable.
-    """
-    if not 0.0 <= target <= 1.0:
-        raise DomainError(f"target must lie in [0, 1], got {target!r}")
-    peak = cross_fraction(kappa_per_mm, length_mm, 0.0)
-    if target > peak:
-        raise DomainError(
-            f"target {target!r} exceeds the zero-detuning cross fraction {peak:.6f}"
-        )
-    if target == peak:
-        return 0.0
-    # first zero of sin(gL): gL = pi * ceil(kappa L / pi)
-    g_zero = math.pi * math.ceil(kappa_per_mm * length_mm / math.pi) / length_mm
-    db_zero = 2.0 * math.sqrt(max(g_zero**2 - kappa_per_mm**2, 0.0))
-    # rounding leaves a ~1e-33 residue at the zero; targets at or below it
-    # cannot bracket a root
-    if target <= cross_fraction(kappa_per_mm, length_mm, db_zero):
-        return db_zero
-    return brentq(
-        lambda db: cross_fraction(kappa_per_mm, length_mm, db) - target,
-        0.0,
-        db_zero,
-        xtol=1e-14,
-    )
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,6 @@ class RatePrediction:
     n: int
     scheme: str  # "active" or "probabilistic"
     rate_hz: float
-    eta_sd: float
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,6 @@ def _prediction(
         n=n,
         scheme=scheme,
         rate_hz=n_fold_rate(n, config.source.pump_rate_hz, eta_sd, eta_det, s_dm),
-        eta_sd=eta_sd,
     )
 
 

@@ -4,9 +4,9 @@ Records are (channel, timestamp) pairs.  Timestamps are integer picoseconds
 from run start and, at this layer, exact multiples of the pump pulse period.
 The binary format is columnar and little-endian: all channels as u32 followed
 by all timestamps as u64, with run metadata in a JSON sidecar next to the data
-file.  CSV export uses the header ``channel,timestamp_ps``.  Both round-trip
-bit-exactly, and every pass over a stream, in memory or in a file, reads it
-in chunks of _CHUNK_RECORDS records.
+file; it round-trips bit-exactly.  CSV is export only, with the header
+``channel,timestamp_ps``.  Every pass over a stream, in memory or in a file,
+reads it in chunks of _CHUNK_RECORDS records.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "write_stream",
     "read_stream",
     "write_csv",
-    "read_csv",
 ]
 
 FORMAT_NAME = "ttag-columnar"
@@ -91,8 +90,9 @@ class StreamMeta:
         """Parse a sidecar; the constructor refuses impossible values."""
         if doc.get("format") != FORMAT_NAME:
             raise DataError(f"not a {FORMAT_NAME} sidecar: format={doc.get('format')!r}")
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise DataError(f"unsupported format_version {doc.get('format_version')!r}")
+        version = doc.get("format_version")
+        if not _is_int(version) or version != FORMAT_VERSION:
+            raise DataError(f"unsupported format_version {version!r}")
         try:
             return cls(**{field.name: doc[field.name] for field in fields(cls)})
         except KeyError as exc:
@@ -273,31 +273,3 @@ def write_csv(stream: TimeTagStream, path) -> None:
         for channels, stamps in stream.chunks():
             fields = np.column_stack([channels, stamps])
             fh.write(("%d,%d\n" * len(fields)) % tuple(fields.ravel().tolist()))
-
-
-def read_csv(path, meta: StreamMeta) -> TimeTagStream:
-    """Load a CSV export; metadata must be supplied (CSV has no sidecar).
-
-    Fields must be integers and timestamps must sit on the pulse grid, since
-    analysis maps each record to a pulse index by exact division.
-    """
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != "channel,timestamp_ps":
-            raise DataError(f"unexpected CSV header {header!r}")
-        rows = [line.split(",") for line in fh if line.strip()]
-    malformed = f"{path}: rows must be two integers channel,timestamp_ps"
-    if any(len(r) != 2 for r in rows):
-        raise DataError(malformed)
-    try:
-        table = np.array([int(f) for r in rows for f in r], dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise DataError(malformed) from None
-    channels, timestamps = table.reshape(-1, 2).T
-    if np.any(channels < 1) or np.any(channels > meta.n_channels):  # before u32 wraps them
-        raise DataError(f"{path}: channels must lie in 1..{meta.n_channels}")
-    if np.any(timestamps < 0) or np.any(timestamps % meta.pulse_period_ps):
-        raise DataError(f"{path}: timestamps must be multiples of {meta.pulse_period_ps} ps >= 0")
-    return TimeTagStream(channels, timestamps, meta)
-

@@ -325,6 +325,13 @@ def test_exit_code_invalid_config(tmp_path):
     assert run(["predict", "--config", bad]) == 2
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_exit_code_config_version_not_an_integer(tmp_path, version):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(BRIGHT_YAML.replace("config_version: 1\n", f"config_version: {version}\n"))
+    assert run(["predict", "--config", bad]) == 2
+
+
 def test_exit_code_missing_output_dir(tmp_path, bright_config):
     out = tmp_path / "no_such_dir" / "run.tags"
     assert run(["simulate", "--config", bright_config, "--out", out]) == 3
@@ -537,6 +544,20 @@ def test_exit_code_overflowing_pulse_period_sidecar(tmp_path, simulated_stream, 
     doc = json.loads(side.read_text())
     doc["pulse_period_ps"] = 2**70
     side.write_text(json.dumps(doc))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "nfold", "--out-dir", tmp_path / "out"]
+    )
+    assert code == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_exit_code_sidecar_format_version_not_an_integer(
+    tmp_path, simulated_stream, bright_config, version
+):
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    side.write_text(json.dumps({**json.loads(side.read_text()), "format_version": version}))
     code = run(
         ["analyze", "--config", bright_config, "--stream", simulated_stream,
          "--which", "nfold", "--out-dir", tmp_path / "out"]

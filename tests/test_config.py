@@ -84,6 +84,13 @@ def test_yaml_boolean_coupler_states_are_normalized():
     assert rc.couplers["sw1"] == {"on": 0.87, "off": 0.06}
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_config_version_must_be_an_integer(version):
+    # both compare equal to 1, so a != test alone takes them for version 1
+    with pytest.raises(ConfigError, match="config_version"):
+        RunConfig(variant(config_version=version))
+
+
 def test_unknown_and_missing_keys_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         RunConfig(variant(typo="x"))

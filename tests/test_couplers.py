@@ -17,7 +17,6 @@ from demuxsim import (
     cascade_network,
     channel_delay_bins,
     cross_fraction,
-    delta_beta_for_cross,
     physical_nfold_scaling,
     routing_by_bin,
     schedule_for_cycle,
@@ -60,51 +59,17 @@ def test_full_cross_at_odd_multiple_of_coupling_length():
     assert cross_fraction(1.0, THREE_HALF_PI, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_detuning_for_zero_cross_is_first_transfer_zero():
-    # g L = 2 pi with kappa L = 3 pi / 2, i.e. delta_beta = 2 sqrt(7) / 3
-    db = delta_beta_for_cross(1.0, THREE_HALF_PI, 0.0)
-    assert math.isclose(db, 1.7638342073763935, rel_tol=1e-12)
-    assert math.isclose(db, 2.0 * math.sqrt(7.0) / 3.0, rel_tol=1e-12)
-    assert cross_fraction(1.0, THREE_HALF_PI, db) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_detuning_for_half_cross():
-    db = delta_beta_for_cross(1.0, THREE_HALF_PI, 0.5)
-    assert math.isclose(db, 1.0759089065150709, rel_tol=1e-9)
-
-
-def test_detuning_at_peak_is_zero():
-    peak = cross_fraction(0.7, 2.0, 0.0)
-    assert delta_beta_for_cross(0.7, 2.0, peak) == 0.0
-
-
-def test_unreachable_target_rejected():
-    peak = cross_fraction(1.0, 1.0, 0.0)  # sin^2(1) ~ 0.708
-    with pytest.raises(DomainError):
-        delta_beta_for_cross(1.0, 1.0, peak + 0.05)
-    with pytest.raises(DomainError):
-        delta_beta_for_cross(1.0, 1.0, 1.5)
+def test_cross_fraction_rejects_bad_geometry():
     with pytest.raises(DomainError):
         cross_fraction(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         cross_fraction(1.0, -1.0, 0.0)
 
 
-@settings(max_examples=150)
-@given(
-    st.floats(min_value=0.2, max_value=3.0),
-    st.floats(min_value=0.5, max_value=6.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_detuning_round_trips_through_cross_fraction(kappa, length, frac):
-    target = frac * cross_fraction(kappa, length, 0.0)
-    db = delta_beta_for_cross(kappa, length, target)
-    assert db >= 0.0
-    assert abs(cross_fraction(kappa, length, db) - target) < 1e-8
-
-
 def test_cross_fraction_decreases_along_search_branch():
-    db_zero = delta_beta_for_cross(1.0, THREE_HALF_PI, 0.0)
+    # first zero of the transfer function: g L = 2 pi with kappa L = 3 pi / 2
+    db_zero = 2.0 * math.sqrt(7.0) / 3.0
+    assert cross_fraction(1.0, THREE_HALF_PI, db_zero) == pytest.approx(0.0, abs=1e-12)
     grid = np.linspace(0.0, db_zero, 64)
     values = [cross_fraction(1.0, THREE_HALF_PI, db) for db in grid]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -112,7 +77,7 @@ def test_cross_fraction_decreases_along_search_branch():
 
 def test_physical_coupler_states():
     # at three coupling lengths the undriven coupler fully crosses
-    on_voltage = 2.0 * delta_beta_for_cross(1.0, THREE_HALF_PI, 0.5)
+    on_voltage = 2.0 * 1.0759089065150709  # detuning for half cross, at 0.5 per volt
     coupler = CouplerParams(
         kappa_per_mm=1.0,
         length_mm=THREE_HALF_PI,

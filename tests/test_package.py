@@ -16,11 +16,11 @@ PUBLIC = {
     "SimConfig", "StreamMeta", "SwitchSchedule", "TimeTagStream",
     "balanced_network", "cascade_network", "channel_delay_bins",
     "compose_transmission", "count_nfold", "cross_fraction", "crossover_n",
-    "damped_least_squares", "delta_beta_for_cross", "estimate_splitting_ratios",
+    "damped_least_squares", "estimate_splitting_ratios",
     "eta_dm_from_ratios", "eta_sd_from_singles", "finite_difference_jacobian",
     "fit_saturation", "fit_switching_efficiency", "g2_ratio", "histogram",
     "load_config", "n_fold_rate", "pair_histograms", "physical_nfold_scaling",
-    "predict_rates", "read_csv", "read_stream", "routing_by_bin", "s_active",
+    "predict_rates", "read_stream", "routing_by_bin", "s_active",
     "s_active_enumerated", "s_probabilistic", "saturation_brightness",
     "saturation_model", "schedule_for_cycle", "second_photon_probability",
     "shard_and_merge", "sidecar_path", "simulate", "switching_efficiency",
@@ -30,7 +30,7 @@ PUBLIC = {
 
 def test_public_surface_is_pinned():
     # a change to the surface must show up as an edit of PUBLIC
-    assert len(PUBLIC) == 60
+    assert len(PUBLIC) == 58
     assert len(demuxsim.__all__) == len(set(demuxsim.__all__))
     assert set(demuxsim.__all__) == PUBLIC
     for name in demuxsim.__all__:
@@ -49,6 +49,13 @@ def test_each_module_defines_what_it_exports(layer):
         assert obj.__module__ == module.__name__, f"{module.__name__}.{name}"
         assert getattr(demuxsim, name) is obj, f"demuxsim.{name}"
         assert name in demuxsim.__all__
+
+
+def test_version_matches_pyproject():
+    # the sidecar will record the package version, so its two copies must agree
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert demuxsim.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
 
 
 def test_numpy_floor_has_bitwise_count():
