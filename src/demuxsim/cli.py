@@ -122,13 +122,6 @@ def _check_compatibility(rc: RunConfig, stream) -> None:
         )
 
 
-def _schedule_for_stream(rc: RunConfig, stream):
-    targets = stream.meta.schedule_targets
-    if rc.schedule.targets == targets:
-        return rc.schedule
-    return schedule_for_cycle(rc.network, targets=targets)
-
-
 def _load_streams(rc: RunConfig, paths) -> list:
     streams = []
     for path in paths:
@@ -200,7 +193,7 @@ def _analyze_nfold(rc, streams, args, out_dir: Path) -> int:
 
 def _analyze_ratios(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
-    schedule = _schedule_for_stream(rc, stream)
+    schedule = schedule_for_cycle(rc.network, targets=stream.meta.schedule_targets)
     hists = analysis.pair_histograms(stream, _pairs_for(args, stream), args.max_delay_bins)
     fit = analysis.estimate_splitting_ratios(hists, rc.network, schedule)
     eta_dm, eta_sigma = analysis.eta_dm_from_ratios(fit, rc.network, schedule)

@@ -26,6 +26,7 @@ from .couplers import (
 from .errors import ConfigError
 from .rates import EmitterParams, LossBudget, PredictionConfig, compose_transmission
 from .simulate import SimConfig
+from .tags import _is_int
 
 __all__ = ["load_config", "RunConfig"]
 
@@ -48,7 +49,7 @@ _LOSSES_KEYS = {
     "transmission": False,
 }
 _NETWORK_KEYS = {"topology": True, "outputs": False, "root": False}
-_SCHEDULE_KEYS = {"kind": False, "targets": False, "bins": False}
+_SCHEDULE_KEYS = {"kind": False, "targets": False}
 _DETECTOR_KEYS = {"efficiency": True}
 _SIMULATION_KEYS = {
     "pump_power_uw": True,
@@ -113,10 +114,11 @@ def _number(doc: dict, key: str, where: str) -> float:
 
 
 def _integer(doc: dict, key: str, where: str) -> int:
-    value = _number(doc, key, where)
-    if not value.is_integer():
+    if key not in doc:
+        raise ConfigError(f"missing {where}.{key}")
+    if not _is_int(doc[key]):
         raise ConfigError(f"{where}.{key} must be an integer, got {doc[key]!r}")
-    return int(value)
+    return doc[key]
 
 
 class RunConfig:
@@ -126,7 +128,7 @@ class RunConfig:
         doc = _require_mapping(doc, source)
         _check_keys(doc, _TOP_KEYS, source)
         version = doc.get("config_version")
-        if not isinstance(version, int) or isinstance(version, bool) or version != CONFIG_VERSION:
+        if not _is_int(version) or version != CONFIG_VERSION:
             raise ConfigError(f"config_version must be {CONFIG_VERSION}, got {version!r}")
         self.doc = doc
         self.source = source
@@ -167,7 +169,7 @@ class RunConfig:
         raise ConfigError(f"unknown network.topology {topology!r}")
 
     def _parse_node(self, doc: Any, where: str):
-        if isinstance(doc, int) and not isinstance(doc, bool):
+        if _is_int(doc):
             return doc
         doc = _require_mapping(doc, where)
         _check_keys(doc, {"coupler_id": True, "through": True, "cross": True}, where)
@@ -216,36 +218,17 @@ class RunConfig:
 
     def _build_schedule(self) -> SwitchSchedule:
         sec = self.doc.get("schedule")
-        if sec is None:
-            return schedule_for_cycle(self.network)
-        sec = _require_mapping(sec, "schedule")
-        _check_keys(sec, _SCHEDULE_KEYS, "schedule")
+        sec = {} if sec is None else _require_mapping(sec, "schedule")
         kind = sec.get("kind", "cyclic")
+        if kind != "cyclic":  # before the keys, so a custom table is refused for its kind
+            raise ConfigError(f"unknown schedule.kind {kind!r}")
+        _check_keys(sec, _SCHEDULE_KEYS, "schedule")
         targets = sec.get("targets")
-        if targets is not None:
-            if not isinstance(targets, list) or not all(
-                isinstance(t, int) and not isinstance(t, bool) for t in targets
-            ):
-                raise ConfigError(f"schedule.targets must be a list of outputs, got {targets!r}")
-            targets = tuple(targets)
-        if kind == "cyclic":
-            if "bins" in sec:
-                raise ConfigError("schedule.bins is only valid with kind=custom")
-            return schedule_for_cycle(self.network, targets=targets)
-        if kind == "custom":
-            if targets is None or "bins" not in sec:
-                raise ConfigError("schedule.kind=custom requires targets and bins")
-            bins = []
-            for i, assignment in enumerate(sec["bins"]):
-                assignment = _require_mapping(assignment, f"schedule.bins[{i}]")
-                bins.append({str(k): _state_name(v) for k, v in assignment.items()})
-                if set(bins[-1]) != set(self.network.coupler_ids):
-                    raise ConfigError(
-                        f"schedule.bins[{i}] must set exactly the network's couplers "
-                        f"{self.network.coupler_ids!r}, got {sorted(bins[-1])!r}"
-                    )
-            return SwitchSchedule(bins=tuple(bins), targets=targets)
-        raise ConfigError(f"unknown schedule.kind {kind!r}")
+        if targets is not None and not (
+            isinstance(targets, list) and all(_is_int(t) for t in targets)
+        ):
+            raise ConfigError(f"schedule.targets must be a list of outputs, got {targets!r}")
+        return schedule_for_cycle(self.network, targets=targets)
 
     def _build_budget(self) -> LossBudget:
         sec = self.doc.get("losses")

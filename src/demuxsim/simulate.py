@@ -68,8 +68,8 @@ def second_photon_probability(p1: float, g2_zero: float) -> float:
 class SimConfig:
     """Fully resolved simulation inputs.
 
-    Exactly one of pulse_count / duration_s must be given; rng_seed is a
-    mandatory integer >= 0 so no run is silently irreproducible.
+    Exactly one of pulse_count (an integer >= 0) / duration_s must be given;
+    rng_seed is a mandatory integer >= 0 so no run is silently irreproducible.
     """
 
     emitter: EmitterParams
@@ -86,8 +86,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if (self.pulse_count is None) == (self.duration_s is None):
             raise ConfigError("exactly one of pulse_count / duration_s must be set")
-        if self.pulse_count is not None and self.pulse_count < 0:
-            raise ConfigError(f"pulse_count must be >= 0, got {self.pulse_count!r}")
+        count = self.pulse_count
+        if count is not None and (
+            isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0
+        ):
+            raise ConfigError(f"pulse_count must be an integer >= 0, got {count!r}")
         if self.duration_s is not None and self.duration_s < 0:
             raise ConfigError(f"duration_s must be >= 0, got {self.duration_s!r}")
         if not 0.0 <= self.eta_det <= 1.0:
@@ -135,7 +138,6 @@ class SimConfig:
             pulse_period_ps=self.pulse_period_ps(),
             pulse_count=self.resolved_pulse_count(),
             n_channels=self.network.n_outputs,
-            schedule_period=self.schedule.period,
             schedule_targets=self.schedule.targets,
         )
 

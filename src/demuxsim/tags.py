@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 FORMAT_NAME = "ttag-columnar"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 RECORD_BYTES = 4 + 8  # u32 channel + u64 picoseconds
 
 
@@ -41,8 +41,9 @@ class StreamMeta:
 
     config_digest identifies the device configuration (emitter, couplers,
     network, losses, detector) that produced the stream; analysis against a
-    different configuration is refused.  Schedule and acquisition parameters
-    are per-run and recorded here explicitly.
+    different configuration is refused.  Acquisition parameters are per-run
+    and recorded here explicitly; schedule_targets[k] is the output that bin k
+    of the cyclic drive routes to, so the schedule period is its length.
     """
 
     config_digest: str
@@ -50,7 +51,6 @@ class StreamMeta:
     pulse_period_ps: int
     pulse_count: int
     n_channels: int
-    schedule_period: int
     schedule_targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -58,18 +58,13 @@ class StreamMeta:
         rate = self.pump_rate_hz
         if not (_is_int(rate) or isinstance(rate, float)) or not 0 < rate <= sys.float_info.max:
             raise DataError(f"pump_rate_hz must be finite and > 0, got {rate!r}")
-        for key, minimum in (
-            ("n_channels", 1), ("schedule_period", 1), ("pulse_period_ps", 1), ("pulse_count", 0)
-        ):
+        for key, minimum in (("n_channels", 1), ("pulse_period_ps", 1), ("pulse_count", 0)):
             value = getattr(self, key)
             if not _is_int(value) or value < minimum:
                 raise DataError(f"{key} must be an integer >= {minimum}, got {value!r}")
         targets = self.schedule_targets
-        if not isinstance(targets, (list, tuple)) or len(targets) != self.schedule_period:
-            raise DataError(
-                f"schedule_targets must list schedule_period={self.schedule_period} outputs, "
-                f"got {targets!r}"
-            )
+        if not isinstance(targets, (list, tuple)) or not targets:
+            raise DataError(f"schedule_targets must list at least one output, got {targets!r}")
         if not all(_is_int(t) and 1 <= t <= self.n_channels for t in targets):
             raise DataError(
                 f"schedule_targets must be integers in 1..{self.n_channels}, got {targets!r}"
@@ -203,7 +198,7 @@ _CHUNK_RECORDS = 1 << 16
 
 @dataclass(frozen=True)
 class _DataFile:
-    """The records of a version-1 data file, read a chunk at a time on each pass.
+    """The records of a data file, read a chunk at a time on each pass.
 
     Each pass refuses a file whose size or modification time is not the one
     read_stream recorded; a rewrite within one mtime tick still goes unseen.

@@ -57,7 +57,6 @@ def make_stream(events, targets=None, pulse_count=1000, n_channels=4) -> TimeTag
         pulse_period_ps=PERIOD_PS,
         pulse_count=pulse_count,
         n_channels=n_channels,
-        schedule_period=len(targets),
         schedule_targets=tuple(targets),
     )
     channels = np.array([ch for _, ch in events], dtype=np.uint32)
@@ -576,7 +575,6 @@ def dense_stream(n_pulses, n_channels, p, seed):
         pulse_period_ps=PERIOD_PS,
         pulse_count=n_pulses,
         n_channels=n_channels,
-        schedule_period=n_channels,
         schedule_targets=tuple(range(1, n_channels + 1)),
     )
     return TimeTagStream(rows + 1, pulses.astype(np.uint64) * PERIOD_PS, meta)

@@ -332,6 +332,25 @@ def test_exit_code_config_version_not_an_integer(tmp_path, version):
     assert run(["predict", "--config", bad]) == 2
 
 
+def test_exit_code_integral_float_count(tmp_path):
+    # YAML reads 1.0e+7 as a float; it used to load as 10000000 pulses
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(BRIGHT_YAML.replace("pulses: 150000\n", "pulses: 1.0e+7\n"))
+    assert run(["simulate", "--config", bad, "--out", tmp_path / "run.tags"]) == 2
+    assert not (tmp_path / "run.tags").exists()
+
+
+def test_exit_code_custom_schedule(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        BRIGHT_YAML
+        + "schedule:\n  kind: custom\n  targets: [1]\n"
+        + "  bins:\n    - {sw1: on, sw2: on, sw3: on}\n"
+    )
+    assert run(["simulate", "--config", bad, "--out", tmp_path / "run.tags"]) == 2
+    assert not (tmp_path / "run.tags").exists()
+
+
 def test_exit_code_missing_output_dir(tmp_path, bright_config):
     out = tmp_path / "no_such_dir" / "run.tags"
     assert run(["simulate", "--config", bright_config, "--out", out]) == 3
@@ -552,7 +571,7 @@ def test_exit_code_overflowing_pulse_period_sidecar(tmp_path, simulated_stream, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("version", [True, 1.0, 2.0])
 def test_exit_code_sidecar_format_version_not_an_integer(
     tmp_path, simulated_stream, bright_config, version
 ):
@@ -561,6 +580,20 @@ def test_exit_code_sidecar_format_version_not_an_integer(
     code = run(
         ["analyze", "--config", bright_config, "--stream", simulated_stream,
          "--which", "nfold", "--out-dir", tmp_path / "out"]
+    )
+    assert code == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_version_1_sidecar(tmp_path, simulated_stream, bright_config):
+    # version 1 also carried schedule_period; there is one reader, for version 2
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    doc = json.loads(side.read_text())
+    doc.update(format_version=1, schedule_period=len(doc["schedule_targets"]))
+    side.write_text(json.dumps(doc))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "ratios", "--out-dir", tmp_path / "out"]
     )
     assert code == 3
     assert not (tmp_path / "out").exists()

@@ -81,6 +81,15 @@ def test_pulse_count_duration_exclusivity():
         replace(base, pump_power_uw=-1.0)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "10", -1])
+def test_pulse_count_must_be_an_integer(count):
+    # 2.5 used to simulate 2 pulses and True 1, both without an error
+    base = make_bright_sim(brightness=0.1, pulses=100, seed=1)
+    with pytest.raises(ConfigError, match="pulse_count must be an integer >= 0"):
+        replace(base, pulse_count=count)
+    assert replace(base, pulse_count=np.int64(7)).resolved_pulse_count() == 7
+
+
 def test_emission_probability_follows_saturation():
     emitter = EmitterParams(
         pump_rate_hz=80e6, saturation_power_uw=348.0, max_brightness=0.030062
@@ -149,9 +158,9 @@ def test_device_digest_and_sidecar_are_pinned(tmp_path):
     write_stream(simulate(config), path)
     assert sidecar_path(path).read_text() == (
         '{\n  "config_digest": "8fbf2fa6cabfdef1ff6c9c11903845cc20647bd4233353088515c5e4b39c1f73",\n'
-        '  "format": "ttag-columnar",\n  "format_version": 1,\n  "n_channels": 4,\n'
+        '  "format": "ttag-columnar",\n  "format_version": 2,\n  "n_channels": 4,\n'
         '  "n_records": 239,\n  "pulse_count": 100000,\n  "pulse_period_ps": 12500,\n'
-        '  "pump_rate_hz": 80000000.0,\n  "schedule_period": 4,\n'
+        '  "pump_rate_hz": 80000000.0,\n'
         '  "schedule_targets": [\n    1,\n    2,\n    3,\n    4\n  ]\n}\n'
     )
 

@@ -31,7 +31,6 @@ def make_meta(pulse_count=1000, n_channels=4, targets=(1, 2, 3, 4)) -> StreamMet
         pulse_period_ps=PERIOD_PS,
         pulse_count=pulse_count,
         n_channels=n_channels,
-        schedule_period=len(targets),
         schedule_targets=tuple(targets),
     )
 
@@ -337,14 +336,25 @@ def test_sidecar_n_records_must_be_an_integer(tmp_path, n_records):
         read_stream(path)
 
 
-@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("version", [True, 1.0, 2.0])
 def test_sidecar_format_version_must_be_an_integer(tmp_path, version):
-    # both compare equal to 1, so a != test alone takes them for version 1
+    # each compares equal to a version, so a != test alone takes it for that version
     path = tmp_path / "run.tags"
     write_stream(make_stream([(1, 0)]), path)
     side = sidecar_path(path)
     side.write_text(json.dumps({**json.loads(side.read_text()), "format_version": version}))
     with pytest.raises(DataError, match="format_version"):
+        read_stream(path)
+
+
+def test_version_1_sidecar_refused(tmp_path):
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, 0)]), path)
+    side = sidecar_path(path)
+    doc = json.loads(side.read_text())
+    doc.update(format_version=1, schedule_period=len(doc["schedule_targets"]))
+    side.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="unsupported format_version 1"):
         read_stream(path)
 
 
@@ -365,8 +375,6 @@ IMPOSSIBLE_SIDECAR_VALUES = [
     ("pulse_count", 1.5),
     ("n_channels", 0),
     ("n_channels", 4.5),
-    ("schedule_period", 3),  # 4 targets; nfold_1_2_3.json was written
-    ("schedule_period", 5),
     ("schedule_targets", [1, 2, 3, 5]),
     ("schedule_targets", [0, 1, 2, 3]),
     ("schedule_targets", [1, 2, 3, 4.5]),
@@ -410,7 +418,7 @@ def test_sidecar_needs_a_scheduled_bin(tmp_path):
     write_stream(make_stream([]), path)
     side = sidecar_path(path)
     doc = json.loads(side.read_text())
-    doc.update(schedule_period=0, schedule_targets=[])
+    doc["schedule_targets"] = []
     side.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="schedule"):
         read_stream(path)
