@@ -473,8 +473,9 @@ def estimate_splitting_ratios(
     Peak areas, folded to delay classes modulo the schedule period, are fit
     against the tree path-product routing model by Poisson likelihood, with
     exact derivatives; one free scale per histogram absorbs flux and detector
-    efficiencies.  Histograms must cover enough distinct pairs to make all the
-    ratios identifiable (all pairs sharing channel 1 suffice for a balanced 1x4).
+    efficiencies.  Histograms must name distinct unordered pairs, enough to
+    make all the ratios identifiable (all pairs sharing channel 1 suffice for
+    a balanced 1x4).
     The fit names the ratios "sw1:on", "sw1:off", ... and the scales
     "scale:a-b" after their pair.
     """
@@ -482,6 +483,8 @@ def estimate_splitting_ratios(
         raise EstimationError("no histograms given")
     period = schedule.period
     pairs = [(hist.channel_a, hist.channel_b) for hist in histograms]
+    if len({frozenset(pair) for pair in pairs}) < len(pairs):  # one pair counted twice
+        raise DomainError(f"histograms must name distinct channel pairs, got {pairs!r}")
     areas, terms = map(np.array, zip(*(_class_areas(hist, period) for hist in histograms)))
     for (a, b), pair_areas in zip(pairs, areas):
         if pair_areas.sum() == 0:

@@ -251,15 +251,14 @@ def cmd_fit_saturation(args) -> int:
     with path.open() as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    expected = ["power_uw", "rate_hz"]
-    if header[: len(expected)] != expected:
+    if header not in (["power_uw", "rate_hz"], ["power_uw", "rate_hz", "sigma_hz"]):
         raise DataError(f"{path}: expected header power_uw,rate_hz[,sigma_hz], got {header!r}")
     if len(rows) < 3:
         raise DataError(f"{path}: need at least 3 data rows, got {len(rows)}")
     try:
         power = [float(r[0]) for r in rows]
         rate = [float(r[1]) for r in rows]
-        sigma = [float(r[2]) for r in rows] if len(header) > 2 and header[2] == "sigma_hz" else None
+        sigma = [float(r[2]) for r in rows] if len(header) == 3 else None
     except (ValueError, IndexError):
         raise DataError(f"{path}: rows must be numeric power_uw,rate_hz[,sigma_hz]") from None
     fit = analysis.fit_saturation(power, rate, sigma_hz=sigma)

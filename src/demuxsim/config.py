@@ -58,7 +58,7 @@ _SIMULATION_KEYS = {
     "seed": True,
 }
 _PREDICTION_KEYS = {"eta_dm": False, "n_max": False, "include_detectors": False}
-_COUPLER_RATIO_KEYS = {"on": True, "off": True}
+_COUPLER_STATE_KEYS = {"on": True, "off": True}
 _COUPLER_PHYSICAL_KEYS = {
     "kappa_per_mm": True,
     "length_mm": True,
@@ -192,6 +192,7 @@ class RunConfig:
                     _state_name(k): v
                     for k, v in _require_mapping(spec["voltages_v"], where).items()
                 }
+                _check_keys(voltages, _COUPLER_STATE_KEYS, where)  # a schedule drives only these
                 params = CouplerParams(
                     kappa_per_mm=_number(spec, "kappa_per_mm", f"couplers.{cid}"),
                     length_mm=_number(spec, "length_mm", f"couplers.{cid}"),
@@ -202,7 +203,7 @@ class RunConfig:
                 )
                 table[str(cid)] = params.ratios()
             else:
-                _check_keys(spec, _COUPLER_RATIO_KEYS, f"couplers.{cid}")
+                _check_keys(spec, _COUPLER_STATE_KEYS, f"couplers.{cid}")
                 ratios = {}
                 for state in ("on", "off"):
                     value = _number(spec, state, f"couplers.{cid}")

@@ -207,27 +207,21 @@ def cascade_network(n_outputs: int) -> DemuxNetwork:
 
 @dataclass(frozen=True)
 class SwitchSchedule:
-    """Cyclic drive pattern: one state per coupler per time bin.
+    """Cyclic schedule: bin k, one pump pulse period, routes to output targets[k].
 
-    targets[k] is the output scheduled for bin k; each bin lasts one pump
-    pulse period, and the cycle repeats every len(targets) bins.
+    The cycle repeats every len(targets) bins; each bin's target sets every
+    switch's drive state (see _through_by_bin).
     """
 
-    bins: tuple[Mapping[str, str], ...]
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.bins or len(self.bins) != len(self.targets):
-            raise ConfigError("a schedule needs at least one bin and one target per bin")
-        if not all(
-            isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in self.targets
-        ):
-            raise ConfigError(f"schedule targets must be integers, got {self.targets!r}")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        ids = set(self.bins[0])
-        for assignment in self.bins:
-            if set(assignment) != ids:
-                raise ConfigError("every coupler must be assigned a state in every bin")
+        targets = tuple(self.targets)
+        if not targets:
+            raise ConfigError("a schedule needs at least one bin")
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in targets):
+            raise ConfigError(f"schedule targets must be integers, got {targets!r}")
+        object.__setattr__(self, "targets", tuple(int(t) for t in targets))
 
     @property
     def period(self) -> int:
@@ -237,25 +231,11 @@ class SwitchSchedule:
 def schedule_for_cycle(
     network: DemuxNetwork, targets: Sequence[int] | None = None
 ) -> SwitchSchedule:
-    """Canonical cyclic schedule: bin k routes to targets[k] (default 1..n).
-
-    Couplers on the root-to-target path are driven "on" when the next hop is
-    their through branch and "off" otherwise; couplers off the path rest in
-    "off" (the undriven, cross-favoring state).
-    """
-    if targets is None:
-        targets = tuple(range(1, network.n_outputs + 1))
-    else:
-        targets = tuple(targets)
-        for t in targets:
-            network.path_to(t)  # raises on unknown outputs
-    bins = []
-    for target in targets:
-        assignment = {cid: "off" for cid in network.coupler_ids}
-        for cid, branch in network.path_to(target):
-            assignment[cid] = "on" if branch == "through" else "off"
-        bins.append(assignment)
-    return SwitchSchedule(bins=tuple(bins), targets=targets)
+    """Canonical cyclic schedule: bin k routes to targets[k] (default 1..n)."""
+    schedule = SwitchSchedule(range(1, network.n_outputs + 1) if targets is None else targets)
+    for t in schedule.targets:
+        network.path_to(t)  # raises on unknown outputs
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +243,19 @@ def schedule_for_cycle(
 # ---------------------------------------------------------------------------
 
 def _through_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table) -> np.ndarray:
-    """through[b, k]: table's entry for switch coupler_ids[k] in its state in bin b."""
+    """through[b, k]: table's entry for switch coupler_ids[k] in its state in bin b.
+
+    A switch is driven "on" when the path to targets[b] takes its through
+    branch and rests "off" (undriven, cross-favoring) on a cross hop or off it.
+    """
     through = np.empty((schedule.period, len(network.coupler_ids)))
-    for b, assignment in enumerate(schedule.bins):
+    for b, target in enumerate(schedule.targets):
+        network.path_to(target)  # raises on an output this network lacks
         for k, cid in enumerate(network.coupler_ids):
-            if cid not in assignment:
-                raise ConfigError(f"no state given for coupler {cid!r}")
-            try:
-                through[b, k] = table[cid][assignment[cid]]
-            except KeyError:
-                raise ConfigError(
-                    f"no splitting ratio for coupler {cid!r} state {assignment[cid]!r}"
-                ) from None
+            state = "on" if network.hops[target - 1, k] > 0 else "off"
+            if state not in table.get(cid, {}):
+                raise ConfigError(f"no splitting ratio for coupler {cid!r} state {state!r}")
+            through[b, k] = table[cid][state]
     return through
 
 

@@ -82,14 +82,18 @@ class StreamMeta:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StreamMeta":
-        """Parse a sidecar; the constructor refuses impossible values."""
+        """Parse a sidecar; it refuses unknown keys, the constructor impossible values."""
         if doc.get("format") != FORMAT_NAME:
             raise DataError(f"not a {FORMAT_NAME} sidecar: format={doc.get('format')!r}")
         version = doc.get("format_version")
         if not _is_int(version) or version != FORMAT_VERSION:
             raise DataError(f"unsupported format_version {version!r}")
+        names = [field.name for field in fields(cls)]
+        unknown = set(doc) - {"format", "format_version", "n_records", *names}
+        if unknown:
+            raise DataError(f"unknown sidecar key(s) {sorted(unknown)!r}")
         try:
-            return cls(**{field.name: doc[field.name] for field in fields(cls)})
+            return cls(**{name: doc[name] for name in names})
         except KeyError as exc:
             raise DataError(f"sidecar is missing {exc}") from None
 

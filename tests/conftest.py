@@ -92,6 +92,17 @@ fractions_with_ends = st.one_of(
 )
 
 
+def drive_states(network, target) -> dict:
+    """Oracle: each switch's drive state in a bin routed to target, read off its path.
+
+    "on" where the path to target takes the switch's through branch, "off" on a
+    cross hop and off the path.
+    """
+    states = dict.fromkeys(network.coupler_ids, "off")
+    states.update((cid, "on") for cid, branch in network.path_to(target) if branch == "through")
+    return states
+
+
 def path_walk(network, through) -> np.ndarray:
     """Oracle: rows[b, o], output o + 1's hop fractions multiplied from the root to its leaf.
 

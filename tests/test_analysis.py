@@ -38,7 +38,14 @@ from demuxsim import (
 from demuxsim import analysis, fitting, tags
 from demuxsim.analysis import CoincidenceHistogram
 
-from conftest import ETA_DM_TABLE, TABLE_RATIOS, fractions_with_ends, path_walk, small_trees
+from conftest import (
+    ETA_DM_TABLE,
+    TABLE_RATIOS,
+    drive_states,
+    fractions_with_ends,
+    path_walk,
+    small_trees,
+)
 
 PERIOD_PS = 12500
 
@@ -763,6 +770,11 @@ def test_ratio_estimation_rejects_bad_histograms():
     )
     with pytest.raises(EstimationError):
         estimate_splitting_ratios([narrow], net, sched)
+    # a repeated pair, in either order, is the same data counted twice
+    for repeat in ((1, 2), (2, 1)):
+        hists = synthetic_histograms([(1, 2), (1, 3), (1, 4), repeat], TABLE_RATIOS, 4e4, None)
+        with pytest.raises(DomainError, match="distinct channel pairs"):
+            estimate_splitting_ratios(hists, net, sched)
 
 
 def test_eta_dm_from_table_matches_direct_average():
@@ -822,8 +834,12 @@ def ratio_params(net):
 def through_of(net, sched, ratios) -> np.ndarray:
     """through[b, k] looked up by name: ratios are ordered as ratio_params."""
     index = {param: i for i, param in enumerate(ratio_params(net))}
+    # drive_states keeps coupler_ids' order, the order of through's columns
     return np.array(
-        [[ratios[index[cid, states[cid]]] for cid in net.coupler_ids] for states in sched.bins]
+        [
+            [ratios[index[param]] for param in drive_states(net, target).items()]
+            for target in sched.targets
+        ]
     )
 
 

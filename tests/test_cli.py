@@ -540,6 +540,20 @@ def test_exit_code_thin_saturation_data(tmp_path):
     assert run(["fit-saturation", "--data", data, "--out-dir", tmp_path]) == 3
 
 
+@pytest.mark.parametrize("header", ["power_uw,rate_hz,sigma", "power_uw,rate_hz,sigma_hz,note"])
+def test_exit_code_saturation_header_must_be_exact(tmp_path, header):
+    # a misspelled sigma_hz column used to be dropped: an unweighted fit, exit 0
+    columns = header.count(",") + 1
+    powers = np.linspace(60.0, 1500.0, 12)
+    rates = saturation_model(powers, 70.9, 348.0)
+    lines = [",".join(map(str, [p, r, 0.001, 1.0][:columns])) for p, r in zip(powers, rates)]
+    data = tmp_path / "sat.csv"
+    data.write_text("\n".join([header, *lines]) + "\n")
+    out_dir = tmp_path / "fit"
+    assert run(["fit-saturation", "--data", data, "--out-dir", out_dir]) == 3
+    assert not (out_dir / "saturation_fit.json").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_exit_code_non_finite_saturation_data(tmp_path, bad):
     data = tmp_path / "sat.csv"
@@ -597,6 +611,31 @@ def test_exit_code_version_1_sidecar(tmp_path, simulated_stream, bright_config):
     )
     assert code == 3
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_sidecar_unknown_keys(tmp_path, simulated_stream, bright_config):
+    # a version-2 sidecar stating a schedule period used to be analysed
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    doc = json.loads(side.read_text())
+    doc.update(schedule_period=3, seed=5)
+    side.write_text(json.dumps(doc))
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "ratios", "--out-dir", tmp_path / "out"]
+    )
+    assert code == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_ratio_pairs_repeated(tmp_path, simulated_stream, bright_config):
+    # (2,1) repeats (1,2)'s coincidences: the fit counted them twice and shrank every sigma
+    out_dir = tmp_path / "out"
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "ratios", "--pairs", "1,2;1,3;1,4;2,1", "--out-dir", out_dir]
+    )
+    assert code == 2
+    assert not (out_dir / "splitting_ratios.json").exists()
 
 
 @pytest.mark.parametrize("n_channels", [5, 16])

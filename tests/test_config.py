@@ -236,6 +236,15 @@ def test_physical_coupler_form():
     with pytest.raises(ConfigError, match="missing required"):
         RunConfig(doc)
 
+    # a third state used to enter the table and the digest, though no schedule selects it
+    physical = {"kappa_per_mm": 1.0, "length_mm": 4.7, "delta_beta_per_volt_per_mm": 0.5}
+    doc["couplers"]["sw1"] = {**physical, "voltages_v": {"off": 0.0, "on": 2.15, "mid": 1.0}}
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in couplers.sw1.voltages_v"):
+        RunConfig(doc)
+    doc["couplers"]["sw1"] = {**physical, "voltages_v": {"on": 2.15}}
+    with pytest.raises(ConfigError, match=r"missing required key\(s\) in couplers.sw1.voltages_v"):
+        RunConfig(doc)
+
 
 def test_prediction_overrides():
     rc = RunConfig(variant(prediction={"eta_dm": 0.78, "include_detectors": True}))

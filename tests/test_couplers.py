@@ -22,9 +22,16 @@ from demuxsim import (
     schedule_for_cycle,
     switching_efficiency,
 )
-from demuxsim.couplers import SwitchSchedule, _path_products
+from demuxsim.couplers import SwitchSchedule, _path_products, _through_by_bin
 
-from conftest import ETA_DM_TABLE, TABLE_RATIOS, fractions_with_ends, path_walk, small_trees
+from conftest import (
+    ETA_DM_TABLE,
+    TABLE_RATIOS,
+    drive_states,
+    fractions_with_ends,
+    path_walk,
+    small_trees,
+)
 
 THREE_HALF_PI = 3.0 * math.pi / 2.0
 
@@ -159,10 +166,11 @@ def test_network_dict_round_trips_structure(net4):
 def test_cyclic_schedule_states(net4, sched4):
     assert sched4.period == 4
     assert sched4.targets == (1, 2, 3, 4)
-    assert sched4.bins[0] == {"sw1": "on", "sw2": "on", "sw3": "off"}
-    assert sched4.bins[1] == {"sw1": "on", "sw2": "off", "sw3": "off"}
-    assert sched4.bins[2] == {"sw1": "off", "sw2": "off", "sw3": "on"}
-    assert sched4.bins[3] == {"sw1": "off", "sw2": "off", "sw3": "off"}
+    # a table of on = 1 and off = 0 reads back each switch's state, sw1..sw3 by bin
+    on = {cid: {"on": 1.0, "off": 0.0} for cid in net4.coupler_ids}
+    np.testing.assert_array_equal(
+        _through_by_bin(net4, sched4, on), [[1, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0]]
+    )
 
 
 def test_schedule_subset_and_validation(net4):
@@ -171,12 +179,10 @@ def test_schedule_subset_and_validation(net4):
     assert pair.targets == (1, 2)
     with pytest.raises(ConfigError):
         schedule_for_cycle(net4, targets=(1, 9))
-    with pytest.raises(ConfigError):
-        SwitchSchedule(bins=({"sw1": "on"},), targets=(1, 2))
-    with pytest.raises(ConfigError):
-        SwitchSchedule(
-            bins=({"sw1": "on"}, {"sw2": "on"}), targets=(1, 2)
-        )
+    # a schedule built without the network is checked when it routes, not wrapped to output 4
+    for missing in (0, 5):
+        with pytest.raises(ConfigError, match=f"no output labelled {missing}"):
+            routing_by_bin(net4, SwitchSchedule(targets=(1, missing)), TABLE_RATIOS)
 
 
 @pytest.mark.parametrize("targets", [[1.7, 2.2, "3"], [1, 2.0], [True, 2], ["3"]])
@@ -184,9 +190,8 @@ def test_schedule_targets_must_be_integers(net4, targets):
     # [1.7, 2.2, "3"] used to become outputs (1, 2, 3)
     with pytest.raises(ConfigError):
         schedule_for_cycle(net4, targets=targets)
-    bins = tuple({"sw1": "off", "sw2": "off", "sw3": "off"} for _ in targets)
     with pytest.raises(ConfigError, match="schedule targets must be integers"):
-        SwitchSchedule(bins=bins, targets=tuple(targets))
+        SwitchSchedule(targets=tuple(targets))
 
 
 def test_schedule_targets_accept_numpy_integers(net4):
@@ -225,31 +230,31 @@ ratio_lists = st.lists(
 )
 
 
-def one_bin(fractions: dict):
-    """A one-bin schedule holding each coupler in a state "set" of the given fraction."""
-    schedule = SwitchSchedule(bins=({cid: "set" for cid in fractions},), targets=(1,))
-    return schedule, {cid: {"set": f} for cid, f in fractions.items()}
+def one_bin(net, fractions: dict):
+    """A one-bin schedule and a table giving each coupler its fraction both on and off."""
+    table = {cid: {"on": f, "off": f} for cid, f in fractions.items()}
+    return schedule_for_cycle(net, (1,)), table
 
 
 @given(ratio_lists)
 def test_routing_conserves_probability(ratios):
     net = balanced_network(4)
-    (probs,) = routing_by_bin(net, *one_bin({f"sw{k + 1}": r for k, r in enumerate(ratios)}))
+    (probs,) = routing_by_bin(net, *one_bin(net, {f"sw{k + 1}": r for k, r in enumerate(ratios)}))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert (probs >= 0).all()
 
 
 def test_routing_accepts_coupler_states(net4):
-    schedule, table = one_bin({"sw1": 1.0, "sw2": 1.0, "sw3": 0.0})
+    schedule, table = one_bin(net4, {"sw1": 1.0, "sw2": 1.0, "sw3": 0.0})
     np.testing.assert_array_equal(routing_by_bin(net4, schedule, table), [[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_routing_requires_every_coupler(net4):
-    with pytest.raises(ConfigError, match="no state given for coupler 'sw3'"):
-        routing_by_bin(net4, *one_bin({"sw1": 0.9, "sw2": 0.9}))
+    with pytest.raises(ConfigError, match="no splitting ratio for coupler 'sw3' state 'off'"):
+        routing_by_bin(net4, *one_bin(net4, {"sw1": 0.9, "sw2": 0.9}))
     for bad in (1.5, -0.1, float("nan")):
         with pytest.raises(DomainError, match="'sw1' outside"):
-            routing_by_bin(net4, *one_bin({"sw1": bad, "sw2": 0.9, "sw3": 0.9}))
+            routing_by_bin(net4, *one_bin(net4, {"sw1": bad, "sw2": 0.9, "sw3": 0.9}))
     with pytest.raises(ConfigError, match="no splitting ratio for coupler 'sw3' state 'off'"):
         routing_by_bin(
             balanced_network(4),
@@ -260,7 +265,7 @@ def test_routing_requires_every_coupler(net4):
 
 @st.composite
 def routed_trees(draw):
-    """A balanced, cascade or random custom tree, a three-state ratio table and a schedule."""
+    """A balanced, cascade or random custom tree, an on/off ratio table and a schedule."""
     kind = draw(st.sampled_from(["balanced", "cascade", "custom"]))
     if kind == "balanced":
         net = balanced_network(draw(st.sampled_from([2, 4, 8, 16])))
@@ -276,20 +281,17 @@ def routed_trees(draw):
             return CouplerNode(f"c{next(ids)}", build(leaves[:k]), build(leaves[k:]))
 
         net = DemuxNetwork(build(draw(st.permutations(range(1, draw(st.integers(2, 12)) + 1)))))
-    states = ("on", "off", "mid")
     fraction = st.floats(min_value=0.0, max_value=1.0)
-    table = {cid: {state: draw(fraction) for state in states} for cid in net.coupler_ids}
+    table = {cid: {state: draw(fraction) for state in ("on", "off")} for cid in net.coupler_ids}
     targets = draw(st.lists(st.integers(1, net.n_outputs), min_size=1, max_size=10))
-    if draw(st.booleans()):
-        return net, schedule_for_cycle(net, targets), table
-    bins = tuple({cid: draw(st.sampled_from(states)) for cid in net.coupler_ids} for _ in targets)
-    return net, SwitchSchedule(bins=bins, targets=tuple(targets)), table
+    return net, schedule_for_cycle(net, targets), table
 
 
 def path_walk_rows(net, schedule, table):
     """Oracle: each output's hop fractions multiplied from the root to its leaf."""
     rows = np.empty((schedule.period, net.n_outputs))
-    for b, assignment in enumerate(schedule.bins):
+    for b, target in enumerate(schedule.targets):
+        assignment = drive_states(net, target)
         for output in range(1, net.n_outputs + 1):
             p = 1.0
             for cid, branch in net.path_to(output):
@@ -387,7 +389,6 @@ def test_full_cycle_single_channel_scaling_is_mean_occupancy(ratios):
 
 
 def test_schedule_period_is_its_target_count():
-    bins = tuple({"sw1": state} for state in ("on", "off", "on"))
-    assert SwitchSchedule(bins=bins, targets=(2, 1, 2)).period == 3
+    assert SwitchSchedule(targets=(2, 1, 2)).period == 3
     with pytest.raises(ConfigError, match="at least one bin"):
-        SwitchSchedule(bins=(), targets=())
+        SwitchSchedule(targets=())

@@ -51,6 +51,17 @@ def test_each_module_defines_what_it_exports(layer):
         assert name in demuxsim.__all__
 
 
+def test_readme_library_example_runs(monkeypatch):
+    # the block loads configs/device.yaml by a path relative to the repo root
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(root)
+    namespace: dict = {}
+    exec(block, namespace)
+    assert namespace["eta"] == pytest.approx(0.809625)
+
+
 def test_version_matches_pyproject():
     # the sidecar will record the package version, so its two copies must agree
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11

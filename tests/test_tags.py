@@ -358,6 +358,16 @@ def test_version_1_sidecar_refused(tmp_path):
         read_stream(path)
 
 
+def test_sidecar_unknown_keys_refused(tmp_path):
+    # these used to read without error, and the keys vanished
+    path = tmp_path / "run.tags"
+    write_stream(make_stream([(1, 0)]), path)
+    side = sidecar_path(path)
+    side.write_text(json.dumps({**json.loads(side.read_text()), "schedule_period": 3, "seed": 5}))
+    with pytest.raises(DataError, match=r"unknown sidecar key\(s\) \['schedule_period', 'seed'\]"):
+        read_stream(path)
+
+
 IMPOSSIBLE_SIDECAR_VALUES = [
     ("pump_rate_hz", 0),  # analyze --which nfold divided by zero
     ("pump_rate_hz", -8.0e7),  # negative rates came out as rate_hz=-0
