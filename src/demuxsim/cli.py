@@ -253,13 +253,18 @@ def cmd_fit_saturation(args) -> int:
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if header not in (["power_uw", "rate_hz"], ["power_uw", "rate_hz", "sigma_hz"]):
         raise DataError(f"{path}: expected header power_uw,rate_hz[,sigma_hz], got {header!r}")
+    ragged = [row for row in rows if len(row) != len(header)]
+    if ragged:  # a field the header does not name would be dropped unread
+        raise DataError(
+            f"{path}: rows must have the header's {len(header)} fields, got {','.join(ragged[0])!r}"
+        )
     if len(rows) < 3:
         raise DataError(f"{path}: need at least 3 data rows, got {len(rows)}")
     try:
         power = [float(r[0]) for r in rows]
         rate = [float(r[1]) for r in rows]
         sigma = [float(r[2]) for r in rows] if len(header) == 3 else None
-    except (ValueError, IndexError):
+    except ValueError:
         raise DataError(f"{path}: rows must be numeric power_uw,rate_hz[,sigma_hz]") from None
     fit = analysis.fit_saturation(power, rate, sigma_hz=sigma)
     out_dir = _out_dir(args)

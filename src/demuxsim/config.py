@@ -331,7 +331,8 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     text = path.read_text()
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser where PyYAML was built with it; both give the same documents
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if doc is None:

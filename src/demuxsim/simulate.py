@@ -142,49 +142,84 @@ class SimConfig:
         )
 
 
-def _simulate_range(config: SimConfig, start: int, stop: int):
-    """Simulate pulses [start, stop); returns (channels u32, timestamps_ps u64) per block.
+def _raw_below(p: float) -> np.uint64 | None:
+    """The t with raw < t exactly when the uniform (raw >> 11) * 2**-53 is below p.
+
+    None when every raw u64 is: p >= 1.  p * 2**53 is exact, and an integer
+    is below a real number exactly when it is below its ceiling.
+    """
+    limit = max(math.ceil(p * 2.0**53), 0) << 11
+    return None if limit >= 1 << 64 else np.uint64(limit)
+
+
+def _raw_edges(edges: np.ndarray) -> np.ndarray:
+    """The table e with raw >> 11 >= e exactly when the uniform (raw >> 11) * 2**-53 is >= edges."""
+    return np.ceil(edges * 2.0**53).astype(np.uint64)
+
+
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """Simulated records at 3 bytes each, expanded to stream columns on every pass.
+
+    Each block is (first pulse, u16 pulse offsets from it, channel - 1 as u8,
+    or u16 past 256 outputs); offsets fit, since a block is BLOCK_PULSES long.
+    """
+
+    blocks: list
+    period_ps: int
+
+    def __iter__(self):
+        period_ps = np.uint64(self.period_ps)
+        for first, offsets, channels in self.blocks:
+            channels = channels.astype(np.uint32)
+            channels += 1
+            stamps = offsets.astype(np.uint64)
+            stamps += np.uint64(first)
+            stamps *= period_ps
+            yield channels, stamps
+
+
+def _simulate_range(config: SimConfig, start: int, stop: int) -> list:
+    """Simulate pulses [start, stop); returns the _Blocks entry of each grid block.
 
     Grid blocks are independent, so they run on a thread pool (NumPy's fills
-    and ufuncs release the GIL) and are gathered in block order.
+    and ufuncs release the GIL) and are gathered in block order.  Each draw is
+    a raw Philox u64 compared as the uniform Generator.random would make of it.
     """
     p1 = config.emission_probability()
-    probs = (p1, second_photon_probability(p1, config.emitter.g2_zero))
-    p_survive = config.transmission() * config.eta_det
+    limits = [_raw_below(p) for p in (p1, second_photon_probability(p1, config.emitter.g2_zero))]
+    survive = _raw_below(config.transmission() * config.eta_det)
     period = config.schedule.period
     n_out = config.network.n_outputs
-    period_ps = np.uint64(config.pulse_period_ps())
+    channel_type = np.min_scalar_type(n_out - 1)  # u8 up to 256 outputs
     cum = np.cumsum(routing_by_bin(config.network, config.schedule, config.couplers), axis=1)
     # inverse-CDF edges per output, one row per schedule bin; the last edge
     # is 1 and no uniform reaches it, so channel - 1 counts the edges passed
-    edges = np.ascontiguousarray(cum[:, :-1].T)
+    edges = _raw_edges(np.ascontiguousarray(cum[:, :-1].T))
 
     def run_block(block: int):
         first = block * BLOCK_PULSES
         lo = max(start - first, 0)
         hi = min(stop - first, BLOCK_PULSES)
         bitgen = np.random.Philox(seed=np.random.SeedSequence((config.rng_seed, block)))
-        gen = np.random.Generator(bitgen)
-        # consecutive fills yield the rows of one random((BLOCK_PULSES, 6)) draw
-        buf = np.empty((_CHUNK_ROWS, _DRAWS_PER_PULSE))
-        hits = [([], []), ([], [])]  # per photon: pulse indices, route uniforms
+        hits = [([], []), ([], [])]  # per photon: pulse offsets, top 53 bits of route draws
         for row in range(0, hi, _CHUNK_ROWS):
-            gen.random(out=buf)
-            u = buf[max(lo - row, 0) : hi - row]
-            offset = first + max(lo, row)
-            for col, prob, (pulses, routes) in zip((0, 3), probs, hits):
-                at = np.flatnonzero(u[:, col] < prob)
-                if p_survive < 1.0:  # u < 1 always survives
-                    at = at[u[at, col + 2] < p_survive]
+            # consecutive fills yield the rows of one random_raw((BLOCK_PULSES, 6)) draw
+            u = bitgen.random_raw((_CHUNK_ROWS, _DRAWS_PER_PULSE))[max(lo - row, 0) : hi - row]
+            offset = max(lo, row)
+            for col, limit, (pulses, routes) in zip((0, 3), limits, hits):
+                at = np.arange(len(u)) if limit is None else np.flatnonzero(u[:, col] < limit)
+                if survive is not None:
+                    at = at[u[at, col + 2] < survive]
                 pulses.append(at + offset)
-                routes.append(u[at, col + 1])
+                routes.append(u[at, col + 1] >> np.uint64(11))
 
         keys = []
         for pulses, routes in hits:
             pulse = np.concatenate(pulses)
             route = np.concatenate(routes)
-            bins = pulse % period
-            key = pulse * n_out  # sort key pulse * n + channel - 1
+            bins = (pulse + first) % period
+            key = pulse * n_out  # sort key offset * n + channel - 1
             for edge in edges:
                 key += route >= edge[bins]
             keys.append(key)
@@ -192,12 +227,8 @@ def _simulate_range(config: SimConfig, start: int, stop: int):
         key = np.sort(np.concatenate(keys), kind="stable")
         keep = np.ones(len(key), bool)
         keep[1:] = key[1:] != key[:-1]
-        pulse, channel = np.divmod(key[keep], n_out)
-        channels = channel.astype(np.uint32)
-        channels += 1
-        timestamps = pulse.view(np.uint64)
-        timestamps *= period_ps
-        return channels, timestamps
+        offsets, channels = np.divmod(key[keep], n_out)
+        return first, offsets.astype(np.uint16), channels.astype(channel_type)
 
     blocks = range(start // BLOCK_PULSES, -(-stop // BLOCK_PULSES))
     workers = min(_WORKERS, len(blocks))
@@ -208,9 +239,9 @@ def _simulate_range(config: SimConfig, start: int, stop: int):
 
 
 def simulate(config: SimConfig) -> TimeTagStream:
-    """Run the full simulation; the stream keeps each block's records as made, uncopied."""
-    n = config.resolved_pulse_count()
-    return TimeTagStream._of_parts(_simulate_range(config, 0, n), config.stream_meta())
+    """Run the full simulation; the stream keeps each block's records at 3 bytes each."""
+    blocks = _simulate_range(config, 0, config.resolved_pulse_count())
+    return TimeTagStream._of_parts(_Blocks(blocks, config.pulse_period_ps()), config.stream_meta())
 
 
 def shard_and_merge(config: SimConfig, n_shards: int) -> TimeTagStream:
@@ -219,5 +250,5 @@ def shard_and_merge(config: SimConfig, n_shards: int) -> TimeTagStream:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards!r}")
     edges = np.linspace(0, config.resolved_pulse_count(), n_shards + 1).astype(np.int64)
     shards = zip(edges[:-1].tolist(), edges[1:].tolist())
-    parts = [part for lo, hi in shards for part in _simulate_range(config, lo, hi)]
-    return TimeTagStream._of_parts(parts, config.stream_meta())
+    blocks = [block for lo, hi in shards for block in _simulate_range(config, lo, hi)]
+    return TimeTagStream._of_parts(_Blocks(blocks, config.pulse_period_ps()), config.stream_meta())

@@ -237,12 +237,16 @@ def sidecar_path(path) -> Path:
 
 
 def write_stream(stream: TimeTagStream, path) -> None:
-    """Write the columnar binary file, from the chunks' own buffers, and its JSON sidecar."""
+    """Write the columnar binary file in one pass over the chunks, and its JSON sidecar.
+
+    Two handles on the file write the two columns, the second from 4 bytes per record on.
+    """
     path = Path(path)
-    with path.open("wb") as fh:
-        for which, dtype in enumerate(("<u4", "<u8")):
-            for chunk in stream.chunks():
-                fh.write(np.ascontiguousarray(chunk[which], dtype=dtype))
+    with path.open("wb") as channels_out, path.open("r+b") as stamps_out:
+        stamps_out.seek(4 * len(stream))
+        for channels, stamps in stream.chunks():
+            channels_out.write(np.ascontiguousarray(channels, dtype="<u4"))
+            stamps_out.write(np.ascontiguousarray(stamps, dtype="<u8"))
     doc = stream.meta.to_dict()
     doc["n_records"] = len(stream)
     sidecar_path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

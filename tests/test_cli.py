@@ -540,6 +540,25 @@ def test_exit_code_thin_saturation_data(tmp_path):
     assert run(["fit-saturation", "--data", data, "--out-dir", tmp_path]) == 3
 
 
+@pytest.mark.parametrize(
+    "header, row",
+    [("power_uw,rate_hz", "60,1.0,9"), ("power_uw,rate_hz", "60"),
+     ("power_uw,rate_hz,sigma_hz", "60,1.0"), ("power_uw,rate_hz,sigma_hz", "60,1.0,0.1,7")],
+)
+def test_exit_code_saturation_row_fields_must_match_the_header(tmp_path, header, row):
+    # a row with a field the header does not name used to be fitted on the named ones, exit 0
+    powers = np.linspace(60.0, 1500.0, 12)
+    rates = saturation_model(powers, 70.9, 348.0)
+    lines = [",".join(map(str, [p, r, 0.001][: header.count(",") + 1])) for p, r in zip(powers, rates)]
+    data = tmp_path / "sat.csv"
+    data.write_text("\n".join([header, *lines[:5], row, *lines[5:]]) + "\n")
+    out_dir = tmp_path / "fit"
+    assert run(["fit-saturation", "--data", data, "--out-dir", out_dir]) == 3
+    assert not (out_dir / "saturation_fit.json").exists()
+    data.write_text("\n".join([header, *lines]) + "\n")
+    assert run(["fit-saturation", "--data", data, "--out-dir", out_dir]) == 0
+
+
 @pytest.mark.parametrize("header", ["power_uw,rate_hz,sigma", "power_uw,rate_hz,sigma_hz,note"])
 def test_exit_code_saturation_header_must_be_exact(tmp_path, header):
     # a misspelled sigma_hz column used to be dropped: an unweighted fit, exit 0

@@ -171,6 +171,31 @@ def test_shipped_configs_load_with_their_cyclic_schedule(path):
     assert rc.schedule == schedule_for_cycle(rc.network, rc.schedule.targets)
 
 
+LIBYAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # the loader load_config uses
+
+
+def _parse(text, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_shipped_configs_parse_alike_under_both_yaml_loaders(path):
+    text = path.read_text()
+    assert _parse(text, LIBYAML) == _parse(text, yaml.SafeLoader)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a: 1e7", "a: 1.0e+7", "a: 0o17", "a: 017", "a: yes", "a: 1_000", "a: 0x1F", "a: ~",
+     "a: [unclosed", "a:\n\tb: 1", "a: !!python/name:os.system"],
+)
+def test_edge_scalars_and_errors_alike_under_both_yaml_loaders(text):
+    assert _parse(text, LIBYAML) == _parse(text, yaml.SafeLoader)
+
+
 def test_network_section():
     rc = RunConfig(
         variant(

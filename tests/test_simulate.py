@@ -3,11 +3,12 @@
 import hashlib
 import importlib
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from demuxsim import (
     ConfigError,
@@ -17,6 +18,7 @@ from demuxsim import (
     SimConfig,
     balanced_network,
     load_config,
+    read_stream,
     routing_by_bin,
     schedule_for_cycle,
     second_photon_probability,
@@ -25,6 +27,8 @@ from demuxsim import (
     simulate,
     write_stream,
 )
+
+from demuxsim.simulate import _raw_below, _raw_edges
 
 from conftest import TABLE_RATIOS, make_bright_sim, make_device_budget
 
@@ -320,3 +324,69 @@ def test_timestamps_sit_on_the_pulse_grid():
     assert meta.n_channels == 4
     assert meta.schedule_targets == (1, 2, 3, 4)
     assert meta.config_digest == cfg.device_digest()
+
+
+# ---------------------------------------------------------------------------
+# raw draws and compact blocks
+# ---------------------------------------------------------------------------
+
+def uniform(raw: int) -> float:
+    """The uniform Generator.random makes of a raw draw: its top 53 bits over 2**53."""
+    return float(raw >> 11) * 2.0**-53
+
+
+PROBABILITIES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]),
+)
+
+
+@given(
+    p=PROBABILITIES,
+    edge=st.one_of(PROBABILITIES, st.floats(min_value=1.0, max_value=4.0)),
+    raw=st.integers(min_value=0, max_value=2**64 - 1),
+    near=st.sampled_from([None, -2, -1, 0, 1, 2]),
+)
+@example(p=1.0, edge=1.0, raw=2**64 - 1, near=None)
+@example(p=0.0, edge=0.0, raw=0, near=None)
+def test_raw_thresholds_decide_as_the_uniforms_do(p, edge, raw, near):
+    for cut in (p, edge):
+        low = raw
+        if near is not None:  # top bits next to ceil(cut * 2**53), the exact boundary
+            top = min(max(math.ceil(cut * 2.0**53) + near, 0), 2**53 - 1)
+            low = top << 11 | raw & 0x7FF
+        draws = np.array([low], np.uint64)
+        # emission and survival: raw < limit, every raw when there is no limit
+        limit = _raw_below(cut)
+        below = draws < limit if limit is not None else np.ones(1, bool)
+        assert bool(below[0]) == (uniform(low) < cut)
+        # routing: the shifted draw against the edge table
+        passed = (draws >> np.uint64(11)) >= _raw_edges(np.array([cut]))
+        assert bool(passed[0]) == (uniform(low) >= cut)
+
+
+def test_outputs_past_256_keep_their_channel(tmp_path):
+    # perfect couplers send bin 0 to output 300 and bin 1 to output 512
+    net = balanced_network(512)
+    cfg = replace(
+        make_bright_sim(brightness=0.5, pulses=20_000, seed=9, network=net, targets=(300, 512)),
+        couplers={cid: {"on": 1.0, "off": 0.0} for cid in net.coupler_ids},
+    )
+    path = tmp_path / "wide.tags"
+    write_stream(simulate(cfg), path)
+    stream = read_stream(path)
+    assert len(stream) > 9_000
+    assert np.array_equal(stream.channels, np.where(stream.pulse_indices % 2, 512, 300))
+
+
+def test_simulated_blocks_hold_three_bytes_a_record():
+    # the blocks used to hold u32 channels and u64 timestamps, 12 bytes a record
+    cfg = make_bright_sim(brightness=0.9, pulses=400_000, seed=5, g2_zero=0.3)
+    tracemalloc.start()
+    try:
+        stream = simulate(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) > 350_000
+    assert held < 3 * len(stream) + (1 << 15)
