@@ -15,7 +15,6 @@ from scipy.special import xlogy
 
 from .couplers import (
     DemuxNetwork,
-    SwitchSchedule,
     _path_products,
     _through_by_bin,
     channel_delay_bins,
@@ -421,7 +420,7 @@ def _class_areas(hist: CoincidenceHistogram, period: int):
     return areas, n_terms
 
 
-def _ratio_columns(network: DemuxNetwork, schedule: SwitchSchedule) -> np.ndarray:
+def _ratio_columns(network: DemuxNetwork, schedule: Sequence[int]) -> np.ndarray:
     """columns[b, k]: index in _ratio_params(network) of switch k's ratio in bin b."""
     index: dict[str, dict[str, int]] = {}
     for i, (cid, state) in enumerate(_ratio_params(network).values()):
@@ -466,7 +465,7 @@ def _deviance(m: np.ndarray, y: np.ndarray):
 def estimate_splitting_ratios(
     histograms: Sequence[CoincidenceHistogram],
     network: DemuxNetwork,
-    schedule: SwitchSchedule,
+    schedule: Sequence[int],
 ) -> FitResult:
     """Estimate the through fractions of every coupler's on and off states.
 
@@ -481,7 +480,8 @@ def estimate_splitting_ratios(
     """
     if not histograms:
         raise EstimationError("no histograms given")
-    period = schedule.period
+    columns = _ratio_columns(network, schedule)  # checks the schedule
+    period = len(columns)
     pairs = [(hist.channel_a, hist.channel_b) for hist in histograms]
     if len({frozenset(pair) for pair in pairs}) < len(pairs):  # one pair counted twice
         raise DomainError(f"histograms must name distinct channel pairs, got {pairs!r}")
@@ -495,7 +495,6 @@ def estimate_splitting_ratios(
     params = _ratio_params(network)
     n_ratio = len(params)
     names = [*params, *(f"scale:{a}-{b}" for a, b in pairs)]
-    columns = _ratio_columns(network, schedule)
 
     def residuals(x: np.ndarray) -> np.ndarray:
         model, _ = _class_area_model(x, network.hops, columns, first, second, terms)
@@ -524,12 +523,12 @@ def estimate_splitting_ratios(
     return fit
 
 
-def eta_dm_from_ratios(fit: FitResult, network: DemuxNetwork, schedule: SwitchSchedule):
+def eta_dm_from_ratios(fit: FitResult, network: DemuxNetwork, schedule: Sequence[int]):
     """Switching efficiency from estimate_splitting_ratios' fit, with a delta-method sigma."""
     index = [fit.names.index(name) for name in _ratio_params(network)]
     columns = _ratio_columns(network, schedule)
     rows, grad = _path_products(network.hops, np.array(fit.values)[index][columns])
-    bins, targets = np.arange(schedule.period), np.array(schedule.targets) - 1
+    bins, targets = np.arange(len(columns)), np.array(schedule) - 1
     value = float(np.mean(rows[bins, targets]))
     # exact gradient: the mean over bins of d rows[b, target_b] / d ratio, which
     # sums over the switches the ratio sets in bin b

@@ -18,7 +18,6 @@ import numpy as np
 from . import analysis
 from .config import RunConfig, load_config
 from .simulate import shard_and_merge, simulate as run_simulation
-from .couplers import schedule_for_cycle
 from .errors import (
     CompatibilityError,
     ConfigError,
@@ -106,20 +105,19 @@ def cmd_simulate(args) -> int:
 
 
 def _check_compatibility(rc: RunConfig, stream) -> None:
-    digest = rc.sim_config().device_digest()
-    if stream.meta.config_digest != digest:
+    expected = rc.sim_config().stream_meta()
+    if stream.meta.config_digest != expected.config_digest:
         raise CompatibilityError(
             "stream was produced by a different device configuration "
             f"(stream digest {stream.meta.config_digest[:12]}..., "
-            f"config digest {digest[:12]}...)"
+            f"config digest {expected.config_digest[:12]}...)"
         )
-    # the digest covers the network, so a mismatch means a corrupt sidecar;
-    # refused before any analysis sizes an array by the channel count
-    if stream.meta.n_channels != rc.network.n_outputs:
-        raise DataError(
-            f"stream sidecar n_channels={stream.meta.n_channels}, but the configured "
-            f"network has {rc.network.n_outputs} outputs"
-        )
+    # the digest covers the emitter and network, so a mismatch here means a
+    # corrupt sidecar; refused before any analysis sizes an array or a rate by it
+    for key in ("pump_rate_hz", "pulse_period_ps", "n_channels"):
+        value, want = getattr(stream.meta, key), getattr(expected, key)
+        if value != want:
+            raise DataError(f"stream sidecar {key}={value!r}, but the configuration gives {want!r}")
 
 
 def _load_streams(rc: RunConfig, paths) -> list:
@@ -193,7 +191,7 @@ def _analyze_nfold(rc, streams, args, out_dir: Path) -> int:
 
 def _analyze_ratios(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
-    schedule = schedule_for_cycle(rc.network, targets=stream.meta.schedule_targets)
+    schedule = stream.meta.schedule_targets
     hists = analysis.pair_histograms(stream, _pairs_for(args, stream), args.max_delay_bins)
     fit = analysis.estimate_splitting_ratios(hists, rc.network, schedule)
     eta_dm, eta_sigma = analysis.eta_dm_from_ratios(fit, rc.network, schedule)
@@ -225,6 +223,8 @@ def _analyze_eta_dm(rc, streams, args, out_dir: Path) -> int:
             )
         )
         weights.append(len(stream))
+    if not sum(weights):  # no singles to weight eta_sd by
+        raise DataError("eta-dm needs records, but no --stream holds any")
     eta_sd = float(np.average(eta_sds, weights=weights))
     fit = analysis.fit_switching_efficiency(
         points, pump_rate_hz=streams[0].meta.pump_rate_hz, eta_det=rc.eta_det, eta_sd=eta_sd

@@ -17,7 +17,6 @@ from .couplers import (
     CouplerNode,
     CouplerParams,
     DemuxNetwork,
-    SwitchSchedule,
     balanced_network,
     cascade_network,
     schedule_for_cycle,
@@ -53,8 +52,7 @@ _SCHEDULE_KEYS = {"kind": False, "targets": False}
 _DETECTOR_KEYS = {"efficiency": True}
 _SIMULATION_KEYS = {
     "pump_power_uw": True,
-    "pulses": False,
-    "duration_s": False,
+    "pulses": True,
     "seed": True,
 }
 _PREDICTION_KEYS = {"eta_dm": False, "n_max": False, "include_detectors": False}
@@ -217,7 +215,7 @@ class RunConfig:
             raise ConfigError("couplers section is empty")
         return table
 
-    def _build_schedule(self) -> SwitchSchedule:
+    def _build_schedule(self) -> tuple[int, ...]:
         sec = self.doc.get("schedule")
         sec = {} if sec is None else _require_mapping(sec, "schedule")
         kind = sec.get("kind", "cyclic")
@@ -225,11 +223,12 @@ class RunConfig:
             raise ConfigError(f"unknown schedule.kind {kind!r}")
         _check_keys(sec, _SCHEDULE_KEYS, "schedule")
         targets = sec.get("targets")
-        if targets is not None and not (
-            isinstance(targets, list) and all(_is_int(t) for t in targets)
-        ):
+        if targets is not None and not isinstance(targets, list):
             raise ConfigError(f"schedule.targets must be a list of outputs, got {targets!r}")
-        return schedule_for_cycle(self.network, targets=targets)
+        try:
+            return schedule_for_cycle(self.network, targets)
+        except ConfigError as exc:
+            raise ConfigError(f"schedule.targets must be a list of outputs: {exc}") from None
 
     def _build_budget(self) -> LossBudget:
         sec = self.doc.get("losses")
@@ -276,8 +275,7 @@ class RunConfig:
             eta_det=self.eta_det,
             pump_power_uw=_number(sec, "pump_power_uw", "simulation"),
             rng_seed=sec["seed"],
-            pulse_count=_integer(sec, "pulses", "simulation") if "pulses" in sec else None,
-            duration_s=_number(sec, "duration_s", "simulation") if "duration_s" in sec else None,
+            pulse_count=_integer(sec, "pulses", "simulation"),
         )
 
     def _build_prediction(self) -> tuple[PredictionConfig, int]:
@@ -310,7 +308,7 @@ class RunConfig:
             raise ConfigError("simulation section is required to simulate")
         run = {}
         if pulses is not None:
-            run.update(pulse_count=pulses, duration_s=None)
+            run["pulse_count"] = pulses
         if seed is not None:
             run["rng_seed"] = seed
         return dataclasses.replace(self._simulation, **run)

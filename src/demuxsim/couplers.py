@@ -25,7 +25,6 @@ __all__ = [
     "DemuxNetwork",
     "balanced_network",
     "cascade_network",
-    "SwitchSchedule",
     "schedule_for_cycle",
     "routing_by_bin",
     "switching_efficiency",
@@ -205,52 +204,39 @@ def cascade_network(n_outputs: int) -> DemuxNetwork:
 # schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwitchSchedule:
-    """Cyclic schedule: bin k, one pump pulse period, routes to output targets[k].
-
-    The cycle repeats every len(targets) bins; each bin's target sets every
-    switch's drive state (see _through_by_bin).
-    """
-
-    targets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        targets = tuple(self.targets)
-        if not targets:
-            raise ConfigError("a schedule needs at least one bin")
-        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in targets):
-            raise ConfigError(f"schedule targets must be integers, got {targets!r}")
-        object.__setattr__(self, "targets", tuple(int(t) for t in targets))
-
-    @property
-    def period(self) -> int:
-        return len(self.targets)
-
-
 def schedule_for_cycle(
     network: DemuxNetwork, targets: Sequence[int] | None = None
-) -> SwitchSchedule:
-    """Canonical cyclic schedule: bin k routes to targets[k] (default 1..n)."""
-    schedule = SwitchSchedule(range(1, network.n_outputs + 1) if targets is None else targets)
-    for t in schedule.targets:
-        network.path_to(t)  # raises on unknown outputs
-    return schedule
+) -> tuple[int, ...]:
+    """Cyclic schedule: bin k, one pump pulse period, routes to output targets[k].
+
+    The cycle repeats every len(targets) bins (default targets 1..n).  This is
+    the one check of a schedule: at least one bin, and every target an integer
+    (numpy integers count, bools do not) that labels an output.
+    """
+    targets = tuple(range(1, network.n_outputs + 1) if targets is None else targets)
+    if not targets:
+        raise ConfigError("a schedule needs at least one bin")
+    for t in targets:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ConfigError(f"schedule targets must be integers, got {targets!r}")
+        network.path_to(t)  # raises on an output this network lacks
+    return tuple(int(t) for t in targets)
 
 
 # ---------------------------------------------------------------------------
 # routing
 # ---------------------------------------------------------------------------
 
-def _through_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table) -> np.ndarray:
+def _through_by_bin(network: DemuxNetwork, schedule: Sequence[int], table) -> np.ndarray:
     """through[b, k]: table's entry for switch coupler_ids[k] in its state in bin b.
 
-    A switch is driven "on" when the path to targets[b] takes its through
+    A switch is driven "on" when the path to schedule[b] takes its through
     branch and rests "off" (undriven, cross-favoring) on a cross hop or off it.
     """
-    through = np.empty((schedule.period, len(network.coupler_ids)))
-    for b, target in enumerate(schedule.targets):
-        network.path_to(target)  # raises on an output this network lacks
+    # every function that takes a schedule comes here, so any sequence of outputs will do
+    schedule = schedule_for_cycle(network, schedule)
+    through = np.empty((len(schedule), len(network.coupler_ids)))
+    for b, target in enumerate(schedule):
         for k, cid in enumerate(network.coupler_ids):
             state = "on" if network.hops[target - 1, k] > 0 else "off"
             if state not in table.get(cid, {}):
@@ -277,7 +263,7 @@ def _path_products(hops: np.ndarray, through: np.ndarray):
     return before[:, -1] * factors[:, -1], hops.T * before * after
 
 
-def routing_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table: RatioTable) -> np.ndarray:
+def routing_by_bin(network: DemuxNetwork, schedule: Sequence[int], table: RatioTable) -> np.ndarray:
     """(period, n_outputs) matrix of routing probabilities, one row per bin.
 
     An output's probability is the product along its root-to-leaf path of
@@ -297,18 +283,18 @@ def routing_by_bin(network: DemuxNetwork, schedule: SwitchSchedule, table: Ratio
 
 
 def switching_efficiency(
-    network: DemuxNetwork, schedule: SwitchSchedule, table: RatioTable
+    network: DemuxNetwork, schedule: Sequence[int], table: RatioTable
 ) -> float:
     """Cycle-averaged probability of routing each bin's photon to its target."""
     rows = routing_by_bin(network, schedule, table)
-    return float(np.mean([rows[b, schedule.targets[b] - 1] for b in range(schedule.period)]))
+    return float(np.mean([rows[b, target - 1] for b, target in enumerate(schedule)]))
 
 
 def channel_delay_bins(targets: Sequence[int], channels: Sequence[int]) -> tuple[int, ...]:
     """Per-channel alignment delay: the first bin in which the schedule targets it.
 
-    targets is a schedule's per-bin target channels (SwitchSchedule.targets or
-    a stream's StreamMeta.schedule_targets).
+    targets is a schedule's per-bin target channels (from schedule_for_cycle
+    or a stream's StreamMeta.schedule_targets).
     """
     delays = []
     for ch in channels:
@@ -323,7 +309,7 @@ def channel_delay_bins(targets: Sequence[int], channels: Sequence[int]) -> tuple
 
 def physical_nfold_scaling(
     network: DemuxNetwork,
-    schedule: SwitchSchedule,
+    schedule: Sequence[int],
     table: RatioTable,
     channels: Sequence[int],
 ) -> float:
@@ -333,12 +319,13 @@ def physical_nfold_scaling(
     delay all route to their respective channels, averaged over the cycle.
     Replaces the uniform-misroute closed form when the actual tree matters.
     """
+    schedule = schedule_for_cycle(network, schedule)
     rows = routing_by_bin(network, schedule, table)
-    delays = channel_delay_bins(schedule.targets, channels)
+    delays = channel_delay_bins(schedule, channels)
     total = 0.0
-    for b in range(schedule.period):
+    for b in range(len(schedule)):
         p = 1.0
         for ch, d in zip(channels, delays):
-            p *= rows[(b + d) % schedule.period, ch - 1]
+            p *= rows[(b + d) % len(schedule), ch - 1]
         total += p
-    return total / schedule.period
+    return total / len(schedule)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .couplers import DemuxNetwork, RatioTable, SwitchSchedule, routing_by_bin
+from .couplers import DemuxNetwork, RatioTable, routing_by_bin, schedule_for_cycle
 from .errors import ConfigError, DomainError
 from .rates import EmitterParams, LossBudget, compose_transmission
 from .tags import StreamMeta, TimeTagStream
@@ -68,31 +68,26 @@ def second_photon_probability(p1: float, g2_zero: float) -> float:
 class SimConfig:
     """Fully resolved simulation inputs.
 
-    Exactly one of pulse_count (an integer >= 0) / duration_s must be given;
-    rng_seed is a mandatory integer >= 0 so no run is silently irreproducible.
+    The schedule is stored as schedule_for_cycle's checked tuple of outputs;
+    pulse_count is an integer >= 0, and rng_seed a mandatory integer >= 0 so
+    no run is silently irreproducible.
     """
 
     emitter: EmitterParams
     network: DemuxNetwork
-    schedule: SwitchSchedule
+    schedule: tuple[int, ...]
     couplers: RatioTable
     budget: LossBudget
     eta_det: float
     pump_power_uw: float
     rng_seed: int
-    pulse_count: int | None = None
-    duration_s: float | None = None
+    pulse_count: int
 
     def __post_init__(self) -> None:
-        if (self.pulse_count is None) == (self.duration_s is None):
-            raise ConfigError("exactly one of pulse_count / duration_s must be set")
+        object.__setattr__(self, "schedule", schedule_for_cycle(self.network, self.schedule))
         count = self.pulse_count
-        if count is not None and (
-            isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0
-        ):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
             raise ConfigError(f"pulse_count must be an integer >= 0, got {count!r}")
-        if self.duration_s is not None and self.duration_s < 0:
-            raise ConfigError(f"duration_s must be >= 0, got {self.duration_s!r}")
         if not 0.0 <= self.eta_det <= 1.0:
             raise DomainError(f"eta_det must lie in [0, 1], got {self.eta_det!r}")
         if self.pump_power_uw < 0:
@@ -102,9 +97,7 @@ class SimConfig:
             raise ConfigError(f"rng_seed must be an integer >= 0, got {seed!r}")
 
     def resolved_pulse_count(self) -> int:
-        if self.pulse_count is not None:
-            return int(self.pulse_count)
-        return int(round(self.duration_s * self.emitter.pump_rate_hz))
+        return int(self.pulse_count)
 
     def pulse_period_ps(self) -> int:
         return int(round(1e12 / self.emitter.pump_rate_hz))
@@ -138,7 +131,7 @@ class SimConfig:
             pulse_period_ps=self.pulse_period_ps(),
             pulse_count=self.resolved_pulse_count(),
             n_channels=self.network.n_outputs,
-            schedule_targets=self.schedule.targets,
+            schedule_targets=self.schedule,
         )
 
 
@@ -189,7 +182,7 @@ def _simulate_range(config: SimConfig, start: int, stop: int) -> list:
     p1 = config.emission_probability()
     limits = [_raw_below(p) for p in (p1, second_photon_probability(p1, config.emitter.g2_zero))]
     survive = _raw_below(config.transmission() * config.eta_det)
-    period = config.schedule.period
+    period = len(config.schedule)
     n_out = config.network.n_outputs
     channel_type = np.min_scalar_type(n_out - 1)  # u8 up to 256 outputs
     cum = np.cumsum(routing_by_bin(config.network, config.schedule, config.couplers), axis=1)

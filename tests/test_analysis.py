@@ -681,7 +681,7 @@ def synthetic_histograms(pairs, table, scale, rng, max_delay=12):
     net = balanced_network(4)
     sched = schedule_for_cycle(net)
     rows = routing_by_bin(net, sched, table)
-    period = sched.period
+    period = len(sched)
     hists = []
     for a, b in pairs:
         delays = np.arange(-max_delay, max_delay + 1)
@@ -838,7 +838,7 @@ def through_of(net, sched, ratios) -> np.ndarray:
     return np.array(
         [
             [ratios[index[param]] for param in drive_states(net, target).items()]
-            for target in sched.targets
+            for target in sched
         ]
     )
 
@@ -847,7 +847,7 @@ def class_areas_oracle(x, net, sched, pairs, terms) -> np.ndarray:
     """Areas of every pair's classes in order, from the path walk, loop by loop."""
     n_ratio = x.size - len(pairs)
     rows = path_walk(net, through_of(net, sched, x[:n_ratio]))
-    period = sched.period
+    period = len(sched)
     return np.array(
         [
             x[n_ratio + p] * terms[p, m] * sum(
@@ -878,7 +878,7 @@ def complex_steps(function, x) -> np.ndarray:
 def test_class_area_jacobian_matches_central_difference(case):
     net, sched, ratios, pairs = case
     rng = np.random.default_rng(len(ratios) + len(pairs))
-    terms = rng.uniform(1.0, 4.0, (len(pairs), sched.period))
+    terms = rng.uniform(1.0, 4.0, (len(pairs), len(sched)))
     x = np.concatenate([ratios, rng.uniform(0.5, 2.0, len(pairs))])
     columns = analysis._ratio_columns(net, sched)
     first, second = np.array(pairs).T - 1
@@ -898,10 +898,10 @@ def test_class_area_jacobian_matches_central_difference(case):
 def test_eta_dm_gradient_matches_central_difference(case):
     net, sched, ratios, _ = case
     params = ratio_params(net)
-    targets = np.array(sched.targets) - 1
+    targets = np.array(sched) - 1
 
     def eta(r):
-        return path_walk(net, through_of(net, sched, r))[np.arange(sched.period), targets].mean()
+        return path_walk(net, through_of(net, sched, r))[np.arange(len(sched)), targets].mean()
 
     numeric = central_differences(lambda r: np.array([eta(r)]), ratios)[0]
     names = tuple(f"{cid}:{st}" for cid, st in params)

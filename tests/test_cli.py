@@ -5,12 +5,15 @@ import importlib
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from demuxsim import cli, load_config, predict_rates, read_stream, tags
 from demuxsim.analysis import NFoldCounts, saturation_model
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BRIGHT_YAML = """\
 config_version: 1
@@ -530,6 +533,24 @@ def test_exit_code_zero_pulse_stream(tmp_path, bright_config, which):
     assert not list(out_dir.glob("*.json"))
 
 
+def test_exit_code_eta_dm_on_streams_without_records(tmp_path, capsys):
+    # 20 pulses at the device's brightness give no record, and eta-dm used to
+    # end in a ZeroDivisionError traceback (exit 1) weighting eta_sd by records
+    config = ROOT / "configs" / "device.yaml"
+    stream = tmp_path / "empty.tags"
+    assert run(["simulate", "--config", config, "--pulses", 20, "--seed", 1, "--out", stream]) == 0
+    assert len(read_stream(stream)) == 0
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    code = run(
+        ["analyze", "--config", config, "--stream", stream, "--stream", stream,
+         "--which", "eta-dm", "--out-dir", out_dir]
+    )
+    assert code == 3
+    assert "no --stream holds any" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.json"))
+
+
 def test_exit_code_thin_saturation_data(tmp_path):
     data = tmp_path / "thin.csv"
     data.write_text("power_uw,rate_hz\n100,1.0\n200,2.0\n")
@@ -673,6 +694,33 @@ def test_exit_code_sidecar_channel_count_differs_from_network(
          "--which", which, "--out-dir", tmp_path / "out"]
     )
     assert code == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"pump_rate_hz": 1.6e8, "pulse_period_ps": 6250},
+        {"pulse_period_ps": 6250},
+        {"pump_rate_hz": 1.6e8},
+    ],
+    ids=["rate-and-period", "period", "rate"],
+)
+@pytest.mark.parametrize("which", ["nfold", "ratios"])
+def test_exit_code_sidecar_pump_timing_differs_from_config(
+    tmp_path, simulated_stream, bright_config, capsys, which, edit
+):
+    # the digest matches, so a sidecar edited to twice the pump rate used to be
+    # analysed on its pulse grid, with exit 0: nfold found rate_hz=0
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    side.write_text(json.dumps({**json.loads(side.read_text()), **edit}))
+    capsys.readouterr()
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", which, "--out-dir", tmp_path / "out"]
+    )
+    assert code == 3
+    assert f"stream sidecar {next(iter(edit))}=" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -62,8 +62,7 @@ def test_shipped_device_config():
     rc = load_config("configs/device.yaml")
     assert rc.emitter.pump_rate_hz == 80e6
     assert rc.eta_det == 0.30
-    assert rc.schedule.period == 4
-    assert rc.schedule.targets == (1, 2, 3, 4)
+    assert rc.schedule == (1, 2, 3, 4)
     assert math.isclose(rc.sim_config(pulses=1).transmission(), 0.2974512704587243)
     # prediction eta_dm defaults to the configured table's switching efficiency
     assert math.isclose(rc.prediction_config().eta_dm, 0.809625, abs_tol=1e-12)
@@ -122,21 +121,21 @@ def test_losses_lumped_or_itemized_not_both():
     assert RunConfig(variant(losses=None)).budget.mode_overlap == 1.0
 
 
-def test_simulation_pulse_duration_exclusivity():
+def test_simulation_pulses_are_required_and_overridable():
     rc = RunConfig(variant())
     assert rc.sim_config().resolved_pulse_count() == 1000
     assert rc.sim_config(pulses=50).resolved_pulse_count() == 50
     assert rc.sim_config(seed=9).rng_seed == 9
 
-    doc = variant()
-    doc["simulation"]["duration_s"] = 1.0
-    with pytest.raises(ConfigError, match="exactly one"):
-        RunConfig(doc).sim_config()
-
+    # a run is its pulse count: there is no duration to give instead
     doc = variant()
     del doc["simulation"]["pulses"]
+    with pytest.raises(ConfigError, match=r"missing required key\(s\) in simulation: \['pulses'\]"):
+        RunConfig(doc)
+    doc = variant()
     doc["simulation"]["duration_s"] = 2.5e-5
-    assert RunConfig(doc).sim_config().resolved_pulse_count() == 2000
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in simulation: \['duration_s'\]"):
+        RunConfig(doc)
 
     doc = variant()
     doc["simulation"]["seed"] = "lucky"
@@ -149,10 +148,11 @@ def test_simulation_pulse_duration_exclusivity():
 
 def test_schedule_section():
     rc = RunConfig(variant(schedule=None))
-    assert rc.schedule.targets == (1, 2, 3, 4)
+    assert rc.schedule == (1, 2, 3, 4)
 
     rc = RunConfig(variant(schedule={"kind": "cyclic", "targets": [2, 4]}))
-    assert rc.schedule.targets == (2, 4)
+    assert rc.schedule == (2, 4)
+    assert rc.sim_config().schedule == (2, 4)
 
     with pytest.raises(ConfigError, match="unknown schedule.kind"):
         RunConfig(variant(schedule={"kind": "random"}))
@@ -168,7 +168,8 @@ def test_schedule_section():
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_shipped_configs_load_with_their_cyclic_schedule(path):
     rc = load_config(path)
-    assert rc.schedule == schedule_for_cycle(rc.network, rc.schedule.targets)
+    assert rc.schedule == schedule_for_cycle(rc.network, rc.schedule)
+    assert all(type(target) is int for target in rc.schedule)
 
 
 LIBYAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # the loader load_config uses

@@ -1,6 +1,7 @@
 """Coupler transfer function, switch-tree topology, schedules, and routing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,18 +18,23 @@ from demuxsim import (
     cascade_network,
     channel_delay_bins,
     cross_fraction,
+    estimate_splitting_ratios,
+    eta_dm_from_ratios,
+    pair_histograms,
     physical_nfold_scaling,
     routing_by_bin,
     schedule_for_cycle,
+    simulate,
     switching_efficiency,
 )
-from demuxsim.couplers import SwitchSchedule, _path_products, _through_by_bin
+from demuxsim.couplers import _path_products, _through_by_bin
 
 from conftest import (
     ETA_DM_TABLE,
     TABLE_RATIOS,
     drive_states,
     fractions_with_ends,
+    make_bright_sim,
     path_walk,
     small_trees,
 )
@@ -164,8 +170,7 @@ def test_network_dict_round_trips_structure(net4):
 # ---------------------------------------------------------------------------
 
 def test_cyclic_schedule_states(net4, sched4):
-    assert sched4.period == 4
-    assert sched4.targets == (1, 2, 3, 4)
+    assert sched4 == (1, 2, 3, 4)
     # a table of on = 1 and off = 0 reads back each switch's state, sw1..sw3 by bin
     on = {cid: {"on": 1.0, "off": 0.0} for cid in net4.coupler_ids}
     np.testing.assert_array_equal(
@@ -174,37 +179,74 @@ def test_cyclic_schedule_states(net4, sched4):
 
 
 def test_schedule_subset_and_validation(net4):
-    pair = schedule_for_cycle(net4, targets=(1, 2))
-    assert pair.period == 2
-    assert pair.targets == (1, 2)
+    assert schedule_for_cycle(net4, targets=(1, 2)) == (1, 2)
     with pytest.raises(ConfigError):
         schedule_for_cycle(net4, targets=(1, 9))
     # a schedule built without the network is checked when it routes, not wrapped to output 4
     for missing in (0, 5):
         with pytest.raises(ConfigError, match=f"no output labelled {missing}"):
-            routing_by_bin(net4, SwitchSchedule(targets=(1, missing)), TABLE_RATIOS)
+            routing_by_bin(net4, (1, missing), TABLE_RATIOS)
 
 
 @pytest.mark.parametrize("targets", [[1.7, 2.2, "3"], [1, 2.0], [True, 2], ["3"]])
 def test_schedule_targets_must_be_integers(net4, targets):
     # [1.7, 2.2, "3"] used to become outputs (1, 2, 3)
-    with pytest.raises(ConfigError):
-        schedule_for_cycle(net4, targets=targets)
     with pytest.raises(ConfigError, match="schedule targets must be integers"):
-        SwitchSchedule(targets=tuple(targets))
+        schedule_for_cycle(net4, targets=targets)
 
 
 def test_schedule_targets_accept_numpy_integers(net4):
     sched = schedule_for_cycle(net4, targets=np.array([3, 1], dtype=np.int64))
-    assert sched.targets == (3, 1)
-    assert all(type(t) is int for t in sched.targets)
+    assert sched == (3, 1)
+    assert all(type(t) is int for t in sched)
 
 
 def test_channel_delays_follow_target_order(net4):
     sched = schedule_for_cycle(net4, targets=(3, 1, 4, 2))
-    assert channel_delay_bins(sched.targets, (1, 2, 3, 4)) == (1, 3, 0, 2)
+    assert channel_delay_bins(sched, (1, 2, 3, 4)) == (1, 3, 0, 2)
     with pytest.raises(ConfigError):
-        channel_delay_bins(sched.targets, (5,))
+        channel_delay_bins(sched, (5,))
+
+
+PERMUTED = (3, 1, 4, 2)
+
+
+@pytest.mark.parametrize(
+    "targets, valid",
+    [
+        (list(PERMUTED), True),
+        (PERMUTED, True),
+        (np.array(PERMUTED), True),
+        ((1.0, 2), False),
+        ((True, 2), False),
+        ((), False),
+        ((1, 5), False),
+    ],
+    ids=["list", "tuple", "array", "float", "bool", "empty", "unknown-output"],
+)
+def test_every_schedule_taker_checks_it_in_schedule_for_cycle(net4, targets, valid):
+    # routing_by_bin and the rest used to read a wrapper's .period and .targets,
+    # so a list or an array of outputs ended in an AttributeError
+    base = make_bright_sim(brightness=0.5, pulses=20_000, seed=4, targets=PERMUTED)
+    stream = simulate(base)
+    hists = pair_histograms(stream, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 8)
+    fit = estimate_splitting_ratios(hists, net4, PERMUTED)
+    takers = {
+        "routing_by_bin": lambda s: routing_by_bin(net4, s, TABLE_RATIOS).tolist(),
+        "switching_efficiency": lambda s: switching_efficiency(net4, s, TABLE_RATIOS),
+        "physical_nfold_scaling": lambda s: physical_nfold_scaling(net4, s, TABLE_RATIOS, (1, 2)),
+        "estimate_splitting_ratios": lambda s: estimate_splitting_ratios(hists, net4, s).to_dict(),
+        "eta_dm_from_ratios": lambda s: eta_dm_from_ratios(fit, net4, s),
+        "SimConfig": lambda s: replace(base, schedule=s).stream_meta(),
+    }
+    if valid:
+        for name, take in takers.items():
+            assert take(targets) == take(PERMUTED), name
+        assert simulate(replace(base, schedule=targets)) == stream
+        return
+    for name, take in takers.items():
+        with pytest.raises(ConfigError):
+            take(targets)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +331,8 @@ def routed_trees(draw):
 
 def path_walk_rows(net, schedule, table):
     """Oracle: each output's hop fractions multiplied from the root to its leaf."""
-    rows = np.empty((schedule.period, net.n_outputs))
-    for b, target in enumerate(schedule.targets):
+    rows = np.empty((len(schedule), net.n_outputs))
+    for b, target in enumerate(schedule):
         assignment = drive_states(net, target)
         for output in range(1, net.n_outputs + 1):
             p = 1.0
@@ -344,14 +386,14 @@ def test_switching_efficiency_of_measured_table(net4, sched4, table):
 def nfold_by_enumeration(network, schedule, table, channels) -> float:
     """Test-side re-derivation: average the per-cycle product of on-target hops."""
     rows = routing_by_bin(network, schedule, table)
-    delays = [schedule.targets.index(ch) for ch in channels]
+    delays = [schedule.index(ch) for ch in channels]
     acc = 0.0
-    for start in range(schedule.period):
+    for start in range(len(schedule)):
         term = 1.0
         for ch, d in zip(channels, delays):
-            term *= rows[(start + d) % schedule.period][ch - 1]
+            term *= rows[(start + d) % len(schedule)][ch - 1]
         acc += term
-    return acc / schedule.period
+    return acc / len(schedule)
 
 
 def test_physical_pair_scaling_full_cycle(net4, sched4, table):
@@ -388,7 +430,7 @@ def test_full_cycle_single_channel_scaling_is_mean_occupancy(ratios):
     assert math.isclose(s, float(rows[:, 1].mean()), rel_tol=0, abs_tol=1e-12)
 
 
-def test_schedule_period_is_its_target_count():
-    assert SwitchSchedule(targets=(2, 1, 2)).period == 3
+def test_schedule_period_is_its_target_count(net4):
+    assert len(schedule_for_cycle(net4, (2, 1, 2))) == 3
     with pytest.raises(ConfigError, match="at least one bin"):
-        SwitchSchedule(targets=())
+        schedule_for_cycle(net4, ())

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import demuxsim
 
@@ -13,7 +14,7 @@ PUBLIC = {
     "CouplerParams", "DataError", "DemuxError", "DemuxNetwork", "DomainError",
     "EmitterParams", "EstimationError", "FitNonConvergenceError", "FitResult",
     "LossBudget", "NFoldCounts", "PredictionConfig", "RatePrediction", "RunConfig",
-    "SimConfig", "StreamMeta", "SwitchSchedule", "TimeTagStream",
+    "SimConfig", "StreamMeta", "TimeTagStream",
     "balanced_network", "cascade_network", "channel_delay_bins",
     "compose_transmission", "count_nfold", "cross_fraction", "crossover_n",
     "damped_least_squares", "estimate_splitting_ratios",
@@ -30,7 +31,7 @@ PUBLIC = {
 
 def test_public_surface_is_pinned():
     # a change to the surface must show up as an edit of PUBLIC
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 57
     assert len(demuxsim.__all__) == len(set(demuxsim.__all__))
     assert set(demuxsim.__all__) == PUBLIC
     for name in demuxsim.__all__:
@@ -60,6 +61,16 @@ def test_readme_library_example_runs(monkeypatch):
     namespace: dict = {}
     exec(block, namespace)
     assert namespace["eta"] == pytest.approx(0.809625)
+
+
+def test_readme_config_block_loads():
+    # the block documents every section, so a key the schema drops must leave it too
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Configuration\n", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("\n```", 1)[0]
+    rc = demuxsim.RunConfig(yaml.safe_load(block), source="README.md")
+    assert rc.sim_config().resolved_pulse_count() == 10_000_000
+    assert rc.schedule == (1, 2, 3, 4)
 
 
 def test_version_matches_pyproject():

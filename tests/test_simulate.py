@@ -69,14 +69,10 @@ def test_second_photon_probability_domain():
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def test_pulse_count_duration_exclusivity():
+def test_sim_config_refuses_unset_and_out_of_range_values():
     base = make_bright_sim(brightness=0.1, pulses=100, seed=1)
     with pytest.raises(ConfigError):
-        replace(base, duration_s=1.0)  # both set
-    with pytest.raises(ConfigError):
-        replace(base, pulse_count=None)  # neither set
-    timed = replace(base, pulse_count=None, duration_s=1e-3)
-    assert timed.resolved_pulse_count() == 80_000
+        replace(base, pulse_count=None)
     with pytest.raises(ConfigError):
         replace(base, rng_seed=None)
     with pytest.raises(DomainError):
@@ -276,8 +272,8 @@ def test_per_bin_channel_distribution_matches_routing():
     cfg = make_bright_sim(brightness=0.5, pulses=400_000, seed=99)
     stream = simulate(cfg)
     rows = routing_by_bin(cfg.network, cfg.schedule, cfg.couplers)
-    bins = stream.pulse_indices % cfg.schedule.period
-    for b in range(cfg.schedule.period):
+    bins = stream.pulse_indices % len(cfg.schedule)
+    for b in range(len(cfg.schedule)):
         chans = stream.channels[bins == b]
         m = len(chans)
         for ch in range(1, 5):
