@@ -105,7 +105,7 @@ def pair_histograms(
     # neighbour walk a few gathers per record and per record pair in range
     records, width = len(stream), max_delay_bins + 1
     dense = k * k * _slot_bound(stream, max_delay_bins) * width / 64 < (
-        _GATHER_COST * records * (1 + records * width / max(_span(stream), 1))
+        _GATHER_COST * records * (1 + records * width / max(stream.meta.pulse_count, 1))
     )
     kernel = _dense_pair_counts if dense else _sparse_pair_counts
     counts = kernel(stream, channels, max_delay_bins)
@@ -144,21 +144,13 @@ def _check_channels(stream: TimeTagStream, channels: Sequence[int]) -> None:
         raise DomainError(f"channels {bad!r} are outside the stream's 1..{n}")
 
 
-def _span(stream: TimeTagStream) -> int:
-    """Pulses from the first record's to the last record's, both included."""
-    if len(stream) == 0:
-        return 0
-    first, last = stream._ends
-    return last // stream.meta.pulse_period_ps - first // stream.meta.pulse_period_ps + 1
-
-
 def _slot_bound(stream: TimeTagStream, horizon: int) -> int:
     """Slots that _slot_chunks can use, plus horizon slots past the last.
 
-    Slots never outnumber the pulses spanned, and each record adds at most
+    Slots never outnumber the run's pulses, and each record adds at most
     horizon + 1 of them; an empty stream has none.
     """
-    return min(_span(stream), (len(stream) - 1) * (horizon + 1) + 1) + horizon
+    return min(stream.meta.pulse_count, (len(stream) - 1) * (horizon + 1) + 1) + horizon
 
 
 def _slot_chunks(stream: TimeTagStream, channels: Sequence[int], horizon: int):
@@ -170,9 +162,10 @@ def _slot_chunks(stream: TimeTagStream, channels: Sequence[int], horizon: int):
     rows[i] is the index in channels of the record's channel.  The last
     pulse and slot carry from one chunk to the next, so no array spans the
     stream.  A timestamp off the pulse grid raises DataError: two such
-    records could share a pulse and channel.
+    records could share a pulse and channel.  So does a record at pulse
+    pulse_count or later, outside the run; so every pulse fits in int64.
     """
-    period = np.uint64(stream.meta.pulse_period_ps)
+    period, pulse_count = np.uint64(stream.meta.pulse_period_ps), stream.meta.pulse_count
     lookup = np.full(stream.meta.n_channels + 1, -1, dtype=np.intp)
     lookup[list(channels)] = np.arange(len(channels))
     last_pulse = last_slot = None
@@ -182,6 +175,8 @@ def _slot_chunks(stream: TimeTagStream, channels: Sequence[int], horizon: int):
             raise DataError(
                 f"timestamps must be multiples of the {int(period)} ps pulse period"
             )
+        if pulses[-1] >= pulse_count:  # records are sorted, so the last pulse is the latest
+            raise DataError(f"record pulse {pulses[-1]} is not below pulse_count {pulse_count}")
         rows = lookup.take(record_channels)
         if len(channels) < stream.meta.n_channels:
             kept = rows >= 0
@@ -302,8 +297,8 @@ def g2_ratio(hist: CoincidenceHistogram, period_bins: int, n_peaks: int = 3):
         raise DataError("cycle peaks are empty; cannot normalize")
     mean_peak = peak_sum / len(peaks)
     value = zero / mean_peak
-    # independent Poisson bins: relative variance 1/N0 + 1/sum(peaks)
-    sigma = value * math.sqrt((1.0 / zero if zero > 0 else 1.0) + 1.0 / peak_sum)
+    # independent Poisson bins; an empty zero bin has the error of one count
+    sigma = math.hypot(math.sqrt(max(zero, 1.0)) / mean_peak, value / math.sqrt(peak_sum))
     return value, sigma
 
 
@@ -327,7 +322,7 @@ class NFoldCounts:
 
     @property
     def sigma_hz(self) -> float:
-        return math.sqrt(self.count) / self.acquisition_s
+        return math.sqrt(max(self.count, 1)) / self.acquisition_s  # a count of 0 errs by 1
 
 
 def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
@@ -623,7 +618,7 @@ def fit_switching_efficiency(
         raise DomainError("switching efficiency is only constrained by n >= 2 rates")
     ns = np.array([m.n for m in points])
     rates = np.array([m.rate_hz for m in points])
-    sigmas = np.array([m.sigma_hz if m.count > 0 else 1.0 / m.acquisition_s for m in points])
+    sigmas = np.array([m.sigma_hz for m in points])
 
     if np.all(rates == 0.0):
         # degenerate data: flag rather than report a meaningless interior optimum

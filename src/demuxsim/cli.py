@@ -134,16 +134,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--which {args.which} analyses one --stream, got {len(args.stream)}")
     rc = load_config(args.config)
     streams = _load_streams(rc, args.stream)
-    out_dir = _out_dir(args)
-    if args.which == "histograms":
-        return _analyze_histograms(rc, streams, args, out_dir)
-    if args.which == "nfold":
-        return _analyze_nfold(rc, streams, args, out_dir)
-    if args.which == "ratios":
-        return _analyze_ratios(rc, streams, args, out_dir)
-    if args.which == "eta-dm":
-        return _analyze_eta_dm(rc, streams, args, out_dir)
-    raise ConfigError(f"unknown analysis {args.which!r}")
+    return _ANALYSES[args.which](rc, streams, args, _out_dir(args))
 
 
 def _pairs_for(args, stream) -> list[tuple[int, int]]:
@@ -246,6 +237,14 @@ def _analyze_eta_dm(rc, streams, args, out_dir: Path) -> int:
     return EXIT_OK
 
 
+_ANALYSES = {
+    "histograms": _analyze_histograms,
+    "nfold": _analyze_nfold,
+    "ratios": _analyze_ratios,
+    "eta-dm": _analyze_eta_dm,
+}
+
+
 def cmd_fit_saturation(args) -> int:
     path = Path(args.data)
     with path.open() as fh:
@@ -315,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--stream", action="append", required=True,
                    help="stream path (repeatable for eta-dm)")
-    p.add_argument("--which", required=True,
-                   choices=["histograms", "nfold", "ratios", "eta-dm"])
+    p.add_argument("--which", required=True, choices=list(_ANALYSES))
     p.add_argument("--pairs", default="first",
                    help='"first", "all", or "a,b;c,d" pair list')
     p.add_argument("--channels", default=None, help="comma-separated channels for nfold")

@@ -101,9 +101,7 @@ def _state_name(key: Any) -> str:
 
 
 def _number(doc: dict, key: str, where: str) -> float:
-    if key not in doc:
-        raise ConfigError(f"missing {where}.{key}")
-    value = doc[key]
+    value = doc[key]  # every caller has checked that the key is present
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     if not math.isfinite(value):
@@ -305,7 +303,8 @@ class RunConfig:
 
     def sim_config(self, pulses: int | None = None, seed: int | None = None) -> SimConfig:
         if self._simulation is None:
-            raise ConfigError("simulation section is required to simulate")
+            raise ConfigError("simulation section is required to simulate, and to check a "
+                              "stream: its device digest covers simulation.pump_power_uw")
         run = {}
         if pulses is not None:
             run["pulse_count"] = pulses

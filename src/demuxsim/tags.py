@@ -127,22 +127,21 @@ class TimeTagStream:
     def _hold(self, parts, meta: StreamMeta) -> None:
         """Keep parts after one pass that checks order and channels, carried across chunks."""
         self._parts, self.meta, self._len = parts, meta, 0
-        first = last = None  # (timestamp, channel) of the first record and the last so far
+        last = (-1, 0)  # (timestamp, channel) of the last record so far, before any record
         for channels, stamps in self.chunks():
             later, earlier = stamps[1:], stamps[:-1]
             tied = later == earlier
             tied &= channels[1:] <= channels[:-1]
             head = (int(stamps[0]), int(channels[0]))
-            if np.any(later < earlier) or np.any(tied) or (last is not None and head <= last):
+            if np.any(later < earlier) or np.any(tied) or head <= last:
                 raise DataError("records must be sorted by timestamp, ties by channel")
             low, high = channels.min(), channels.max()
             if low < 1 or high > meta.n_channels:
                 raise DataError(
                     f"record channels span {low}..{high}, outside 1..{meta.n_channels}"
                 )
-            first, last = first or head, (int(stamps[-1]), int(channels[-1]))
+            last = (int(stamps[-1]), int(channels[-1]))
             self._len += len(channels)
-        self._ends = last and (first[0], last[0])  # first and last timestamps, if any
 
     def chunks(self):
         """Yield (channels u32, timestamps_ps u64) in order, 1 to _CHUNK_RECORDS records each."""

@@ -1,5 +1,6 @@
 """Histogramming, coincidence counting, and parameter estimation."""
 
+import dataclasses
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -204,6 +205,16 @@ def test_g2_ratio_uses_available_peaks():
     assert value == pytest.approx(10 / 200)
 
 
+def test_g2_ratio_of_an_empty_zero_bin_has_one_counts_error():
+    # the error used to be 0 as well: value times a relative error
+    delays = np.arange(-8, 9)
+    counts = np.zeros(delays.size, dtype=np.int64)
+    for d in (-8, -4, 4, 8):
+        counts[d + 8] = 100
+    hist = CoincidenceHistogram(1, 2, 1.25e-8, delays, counts)
+    assert g2_ratio(hist, period_bins=4, n_peaks=3) == (0.0, pytest.approx(1 / 100))
+
+
 def test_g2_ratio_validation():
     delays = np.arange(-2, 3)
     hist = CoincidenceHistogram(1, 2, 1.25e-8, delays, np.ones(5, dtype=np.int64))
@@ -253,6 +264,13 @@ def test_count_nfold_rate_and_sigma():
     assert result.count == 2
     assert result.rate_hz == pytest.approx(2 / acq)
     assert result.sigma_hz == pytest.approx(math.sqrt(2) / acq)
+
+
+def test_zero_count_sigma_is_one_counts():
+    # a zero count used to report sigma_hz 0, a rate known exactly
+    result = count_nfold(make_stream([(1, 0), (2, 5)], pulse_count=8_000_000), (1, 2))
+    assert result.count == 0
+    assert result.sigma_hz == 1 / result.acquisition_s == 1 / 0.1
 
 
 def test_count_nfold_respects_permuted_schedule():
@@ -643,6 +661,42 @@ def test_off_grid_timestamps_are_refused():
             pair_histograms(stream, [(2, 1)], 1)
 
 
+def past_run_streams():
+    """Streams with a record at pulse pulse_count or later, which no run of theirs holds."""
+    meta = make_stream([]).meta
+    past = (2**63 // PERIOD_PS + 1) * PERIOD_PS  # the first pulse at or past 2**63 ps
+    top = (2**64 - 1) // PERIOD_PS * PERIOD_PS  # the last pulse a u64 timestamp can name
+    one_ps = dataclasses.replace(meta, pulse_period_ps=1)
+    return {
+        "at-pulse-count": make_stream([(1, 0), (2, 1), (2, 1000)], pulse_count=1000),
+        "unanalysed-channel": make_stream([(1, 0), (2, 1), (3, 1000)], pulse_count=1000),
+        "timestamp-2**63": TimeTagStream([1, 2], [0, past], meta),
+        "timestamp-top": TimeTagStream([1, 2], [0, top], meta),
+        "pulse-2**63": TimeTagStream([1, 2], [0, 2**63], one_ps),  # negative as int64
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
+@pytest.mark.parametrize("case", list(past_run_streams()))
+def test_records_past_the_run_are_refused(case, chunk):
+    # such records used to be counted, and every rate divided by too short a run
+    stream = past_run_streams()[case]
+    with chunked(chunk):
+        with pytest.raises(DataError, match="pulse_count"):
+            count_nfold(stream, (1, 2))
+        for name in KERNELS:
+            with kernel(name), pytest.raises(DataError, match="pulse_count"):
+                pair_histograms(stream, [(1, 2)], 4)
+
+
+def test_the_last_pulse_of_the_run_is_counted():
+    stream = make_stream([(1, 998), (2, 999)], pulse_count=1000)
+    assert count_nfold(stream, (1, 2)).count == 1
+    for name in KERNELS:
+        with kernel(name):
+            assert histogram(stream, 1, 2, 4).counts[4 + 1] == 1
+
+
 def test_count_nfold_validation():
     stream = make_stream([(1, 0), (2, 1)])
     with pytest.raises(DomainError):
@@ -670,6 +724,11 @@ def test_eta_sd_from_singles():
         eta_sd_from_singles([1.0], 0.0, 0.3)
     with pytest.raises(DomainError):
         eta_sd_from_singles([1.0], 8e7, 0.0)
+
+
+def test_eta_sd_from_singles_refuses_a_negative_total():
+    with pytest.raises(DomainError, match="non-negative"):
+        eta_sd_from_singles([1e5, -2e5], 8e7, 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -736,3 +736,81 @@ def test_exit_code_off_grid_timestamp(tmp_path, simulated_stream, bright_config,
          "--which", which, "--out-dir", tmp_path / "out"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("which", ["histograms", "nfold", "ratios"])
+def test_exit_code_records_past_the_sidecar_pulse_count(
+    tmp_path, simulated_stream, bright_config, capsys, which
+):
+    # with pulse_count cut to a tenth, nfold used to report ten times the rate, with exit 0
+    side = simulated_stream.parent / (simulated_stream.name + ".meta.json")
+    doc = json.loads(side.read_text())
+    doc["pulse_count"] //= 10
+    side.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", which, "--out-dir", out_dir]
+    )
+    assert code == 3
+    assert f"pulse_count {doc['pulse_count']}" in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
+
+
+def test_zero_coincidence_nfold_reports_one_counts_sigma(tmp_path):
+    # sigma_hz used to be 0 here, as if a rate of 0 were known exactly
+    config = ROOT / "configs" / "device.yaml"
+    stream = tmp_path / "short.tags"
+    code = run(["simulate", "--config", config, "--pulses", 20_000, "--seed", 1, "--out", stream])
+    assert code == 0
+    code = run(
+        ["analyze", "--config", config, "--stream", stream, "--which", "nfold",
+         "--out-dir", tmp_path]
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "nfold_1_2_3_4.json").read_text())
+    assert doc["count"] == 0
+    assert doc["sigma_hz"] == 1 / doc["acquisition_s"]
+
+
+def test_exit_code_analyze_without_a_simulation_section(tmp_path, simulated_stream, capsys):
+    # the stream check needs the section: the device digest covers simulation.pump_power_uw
+    config = tmp_path / "no_simulation.yaml"
+    config.write_text(BRIGHT_YAML.split("simulation:")[0])
+    capsys.readouterr()
+    code = run(
+        ["analyze", "--config", config, "--stream", simulated_stream,
+         "--which", "nfold", "--out-dir", tmp_path / "out"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "simulation section is required to simulate" in err
+    assert "simulation.pump_power_uw" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("channels", ["a,b", ","])
+def test_exit_code_bad_nfold_channels(tmp_path, simulated_stream, bright_config, channels):
+    code = run(
+        ["analyze", "--config", bright_config, "--stream", simulated_stream,
+         "--which", "nfold", "--channels", channels, "--out-dir", tmp_path / "out"]
+    )
+    assert code == 2
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("  outputs: 4\n", "", "missing network.outputs"),
+        ("simulation:", "detectors:\n  efficiency: 1.5\nsimulation:", "detectors.efficiency"),
+    ],
+    ids=["balanced-without-outputs", "detector-efficiency-1.5"],
+)
+def test_exit_code_config_refusals(tmp_path, capsys, old, new, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(BRIGHT_YAML.replace(old, new))
+    capsys.readouterr()
+    assert run(["predict", "--config", bad]) == 2
+    assert message in capsys.readouterr().err

@@ -84,6 +84,27 @@ def test_domain_validation():
         s_active_enumerated(9, 0.5)  # factorial guard
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EmitterParams(pump_rate_hz=1.0, saturation_power_uw=0.0, max_brightness=0.1),
+        lambda: LossBudget(propagation_db_per_cm=-0.1),
+        lambda: LossBudget(device_length_cm=-1.0),
+        lambda: saturation_brightness(1.0, 0.0, 0.2),
+        lambda: saturation_brightness(1.0, -348.0, 0.2),
+        lambda: saturation_brightness(-1.0, 348.0, 0.2),
+        lambda: s_active_enumerated(0, 0.5),
+    ],
+    ids=[
+        "zero-saturation-power", "negative-propagation-loss", "negative-device-length",
+        "zero-p0", "negative-p0", "negative-power", "enumerated-n-0",
+    ],
+)
+def test_out_of_range_parameters_are_refused(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # rate law and transmission
 # ---------------------------------------------------------------------------
