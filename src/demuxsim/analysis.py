@@ -24,7 +24,7 @@ from .errors import DataError, DomainError, EstimationError
 # routing_by_bin and finite_difference_jacobian are unused here: bench/worker.py traces them
 from .fitting import FitResult, damped_least_squares, finite_difference_jacobian
 from .rates import s_active
-from .tags import TimeTagStream
+from .tags import TimeTagStream, _check_in_run
 
 __all__ = [
     "CoincidenceHistogram",
@@ -165,7 +165,7 @@ def _slot_chunks(stream: TimeTagStream, channels: Sequence[int], horizon: int):
     records could share a pulse and channel.  So does a record at pulse
     pulse_count or later, outside the run; so every pulse fits in int64.
     """
-    period, pulse_count = np.uint64(stream.meta.pulse_period_ps), stream.meta.pulse_count
+    period = np.uint64(stream.meta.pulse_period_ps)
     lookup = np.full(stream.meta.n_channels + 1, -1, dtype=np.intp)
     lookup[list(channels)] = np.arange(len(channels))
     last_pulse = last_slot = None
@@ -175,8 +175,7 @@ def _slot_chunks(stream: TimeTagStream, channels: Sequence[int], horizon: int):
             raise DataError(
                 f"timestamps must be multiples of the {int(period)} ps pulse period"
             )
-        if pulses[-1] >= pulse_count:  # records are sorted, so the last pulse is the latest
-            raise DataError(f"record pulse {pulses[-1]} is not below pulse_count {pulse_count}")
+        _check_in_run(stream.meta, stamps[-1])
         rows = lookup.take(record_channels)
         if len(channels) < stream.meta.n_channels:
             kept = rows >= 0
@@ -339,8 +338,7 @@ def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
     schedule_delays = channel_delay_bins(stream.meta.schedule_targets, channels)
     span = max(schedule_delays) - min(schedule_delays)
     _check_channels(stream, channels)
-    if stream.meta.pulse_count == 0:
-        raise DataError("a stream with pulse_count 0 has no acquisition time, so no rates")
+    acquisition_s = stream.acquisition_s  # refuses a run of 0 pulses before any counting
     # an event is a slot s where every channel fires at s + its offset
     bits, used = _bitsets(stream, channels, span)
     lead = min(schedule_delays)
@@ -356,22 +354,28 @@ def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
         channels=channels,
         window_s=(span + 1) * (stream.meta.pulse_period_ps * 1e-12),
         count=count,
-        acquisition_s=stream.acquisition_s,
+        acquisition_s=acquisition_s,
     )
+
+
+def _check_rate_inputs(pump_rate_hz: float, **efficiencies: float) -> None:
+    """Refuse a pump rate that is not finite and > 0, or an efficiency outside (0, 1]."""
+    if not 0 < pump_rate_hz < math.inf:  # NaN fails too
+        raise DomainError(f"pump_rate_hz must be finite and positive, got {pump_rate_hz!r}")
+    for name, value in efficiencies.items():
+        if not 0 < value <= 1:
+            raise DomainError(f"{name} must lie in (0, 1], got {value!r}")
 
 
 def eta_sd_from_singles(
     singles_rates_hz: Sequence[float], pump_rate_hz: float, eta_det: float
 ) -> float:
     """Source-to-device efficiency from summed singles: sum(rates)/(R*eta_det)."""
-    if pump_rate_hz <= 0:
-        raise DomainError(f"pump_rate_hz must be positive, got {pump_rate_hz!r}")
-    if eta_det <= 0 or eta_det > 1:
-        raise DomainError(f"eta_det must lie in (0, 1], got {eta_det!r}")
-    total = float(np.sum(singles_rates_hz))
-    if total < 0:
-        raise DomainError("singles rates must be non-negative")
-    eta_sd = total / (pump_rate_hz * eta_det)
+    _check_rate_inputs(pump_rate_hz, eta_det=eta_det)
+    rates = np.asarray(singles_rates_hz, dtype=float)
+    if not np.all((rates >= 0) & (rates < np.inf)):  # NaN fails both
+        raise DomainError(f"singles rates must be finite and non-negative, got {rates!r}")
+    eta_sd = float(rates.sum()) / (pump_rate_hz * eta_det)
     if eta_sd > 1.0:
         raise DataError(
             f"singles imply eta_sd={eta_sd:.4f} > 1; rates inconsistent with the pump rate"
@@ -609,8 +613,10 @@ def fit_switching_efficiency(
     Model: rate(n) = R * (eta_sd * eta_det)**n * s_active(n, eta_dm), fit to
     the measured rates (n >= 2, at least two distinct n) by weighted least
     squares.  All-zero rates carry no efficiency information and are reported
-    as a boundary solution at zero.
+    as a boundary solution at zero.  pump_rate_hz must be finite and > 0,
+    and eta_sd and eta_det lie in (0, 1].
     """
+    _check_rate_inputs(pump_rate_hz, eta_sd=eta_sd, eta_det=eta_det)
     points = sorted(nfold, key=lambda m: m.n)
     if len(points) < 2 or len({m.n for m in points}) < 2:
         raise DataError("need measured rates for at least two distinct n")

@@ -11,7 +11,7 @@ reconfigures the tree once per pump pulse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -150,17 +150,7 @@ class DemuxNetwork:
 
     def to_dict(self) -> dict:
         """Canonical nested-dict form (used for config digests)."""
-
-        def conv(node):
-            if isinstance(node, CouplerNode):
-                return {
-                    "coupler_id": node.coupler_id,
-                    "through": conv(node.through),
-                    "cross": conv(node.cross),
-                }
-            return node
-
-        return conv(self.root)
+        return asdict(self.root)
 
 
 def balanced_network(n_outputs: int) -> DemuxNetwork:

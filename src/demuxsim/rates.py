@@ -229,26 +229,14 @@ def saturation_brightness(pump_power_uw: float, p0_uw: float, max_value: float) 
     return max_value * (1.0 - math.exp(-pump_power_uw / p0_uw))
 
 
-def _active_rate(config: PredictionConfig, n: int) -> RatePrediction:
-    eta_sd = config.source.saturated_brightness * config.transmission
-    return _prediction(config, n, "active", eta_sd, s_active(n, config.eta_dm))
-
-
-def _probabilistic_rate(config: PredictionConfig, n: int) -> RatePrediction:
-    # Lossless-passive baseline: source brightness only, no device transmission.
-    eta_sd = config.source.saturated_brightness
-    return _prediction(config, n, "probabilistic", eta_sd, s_probabilistic(n))
-
-
-def _prediction(
-    config: PredictionConfig, n: int, scheme: str, eta_sd: float, s_dm: float
-) -> RatePrediction:
+def _predictions(config: PredictionConfig, n: int) -> tuple[RatePrediction, RatePrediction]:
+    """The active and the probabilistic prediction; the passive baseline is lossless."""
+    brightness, pump_rate_hz = config.source.saturated_brightness, config.source.pump_rate_hz
     eta_det = config.eta_det if config.include_detectors else 1.0
-    return RatePrediction(
-        n=n,
-        scheme=scheme,
-        rate_hz=n_fold_rate(n, config.source.pump_rate_hz, eta_sd, eta_det, s_dm),
-    )
+    s_dm = s_active(n, config.eta_dm)
+    active = n_fold_rate(n, pump_rate_hz, brightness * config.transmission, eta_det, s_dm)
+    passive = n_fold_rate(n, pump_rate_hz, brightness, eta_det, s_probabilistic(n))
+    return RatePrediction(n, "active", active), RatePrediction(n, "probabilistic", passive)
 
 
 def predict_rates(config: PredictionConfig, n_values) -> list[RatePrediction]:
@@ -258,9 +246,7 @@ def predict_rates(config: PredictionConfig, n_values) -> list[RatePrediction]:
     With include_detectors False the detector term is dropped from both schemes
     (rates at the device outputs rather than after detection).
     """
-    return [
-        rate(config, n) for n in n_values for rate in (_active_rate, _probabilistic_rate)
-    ]
+    return [prediction for n in n_values for prediction in _predictions(config, n)]
 
 
 def crossover_n(config: PredictionConfig, n_max: int) -> int | None:
@@ -272,6 +258,7 @@ def crossover_n(config: PredictionConfig, n_max: int) -> int | None:
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max!r}")
     for n in range(1, n_max + 1):
-        if _active_rate(config, n).rate_hz > _probabilistic_rate(config, n).rate_hz:
+        active, passive = _predictions(config, n)
+        if active.rate_hz > passive.rate_hz:
             return n
     return None

@@ -232,13 +232,12 @@ def _simulate_range(config: SimConfig, start: int, stop: int) -> list:
 
 
 def simulate(config: SimConfig) -> TimeTagStream:
-    """Run the full simulation; the stream keeps each block's records at 3 bytes each."""
-    blocks = _simulate_range(config, 0, config.resolved_pulse_count())
-    return TimeTagStream._of_parts(_Blocks(blocks, config.pulse_period_ps()), config.stream_meta())
+    """Run the full simulation, as one shard; the stream keeps each record at 3 bytes."""
+    return shard_and_merge(config, 1)
 
 
 def shard_and_merge(config: SimConfig, n_shards: int) -> TimeTagStream:
-    """Simulate in contiguous pulse shards and chain their blocks; identical to simulate()."""
+    """Simulate in contiguous pulse shards and chain their blocks; any shard count, one stream."""
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards!r}")
     edges = np.linspace(0, config.resolved_pulse_count(), n_shards + 1).astype(np.int64)

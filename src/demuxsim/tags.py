@@ -179,19 +179,29 @@ class TimeTagStream:
 
     @property
     def acquisition_s(self) -> float:
-        """Total acquisition time implied by the pulse count."""
+        """Total acquisition time implied by the pulse count; a run of 0 pulses has none."""
+        if self.meta.pulse_count == 0:
+            raise DataError("a stream with pulse_count 0 has no acquisition time, so no rates")
         return self.meta.pulse_count / self.meta.pump_rate_hz
 
     def singles_counts(self) -> np.ndarray:
-        """Per-channel record counts, index 0 = channel 1."""
+        """Per-channel record counts, index 0 = channel 1; a record past the run is refused."""
         n = self.meta.n_channels + 1
-        counts = (np.bincount(channels, minlength=n) for channels, _ in self.chunks())
-        return sum(counts, np.zeros(n, np.int64))[1:]
+        counts = np.zeros(n, np.int64)
+        for channels, stamps in self.chunks():
+            _check_in_run(self.meta, stamps[-1])
+            counts += np.bincount(channels, minlength=n)
+        return counts[1:]
 
     def singles_rates_hz(self) -> np.ndarray:
-        if self.meta.pulse_count == 0:
-            raise DataError("a stream with pulse_count 0 has no acquisition time, so no rates")
         return self.singles_counts() / self.acquisition_s
+
+
+def _check_in_run(meta: StreamMeta, last_stamp) -> None:
+    """Refuse a chunk of sorted records whose last record lies at pulse pulse_count or later."""
+    pulse = int(last_stamp) // meta.pulse_period_ps
+    if pulse >= meta.pulse_count:
+        raise DataError(f"record pulse {pulse} is not below pulse_count {meta.pulse_count}")
 
 
 # records per chunk of every pass over a stream: a chunk's temporaries stay in

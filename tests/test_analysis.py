@@ -731,6 +731,22 @@ def test_eta_sd_from_singles_refuses_a_negative_total():
         eta_sd_from_singles([1e5, -2e5], 8e7, 0.25)
 
 
+
+@pytest.mark.parametrize(
+    "rates", [[float("nan")], [-1e5, 2e5], [float("inf"), 0.0]], ids=["nan", "negative", "inf"]
+)
+def test_eta_sd_from_singles_refuses_each_bad_rate(rates):
+    # nan used to give nan, and [-1e5, 2e5] 0.00125 from its positive sum
+    with pytest.raises(DomainError, match="finite and non-negative"):
+        eta_sd_from_singles(rates, 8e7, 1.0)
+
+
+@pytest.mark.parametrize("pump_rate_hz", [float("nan"), float("inf")])
+def test_eta_sd_from_singles_refuses_a_pump_rate_that_is_not_finite(pump_rate_hz):
+    # nan used to give nan, and inf gave an eta_sd of 0.0
+    with pytest.raises(DomainError, match="pump_rate_hz must be finite"):
+        eta_sd_from_singles([1e5], pump_rate_hz, 1.0)
+
 # ---------------------------------------------------------------------------
 # splitting-ratio estimation
 # ---------------------------------------------------------------------------
@@ -1089,3 +1105,28 @@ def test_fit_switching_efficiency_validation():
             [make_counts(1, 0.78), make_counts(2, 0.78)],
             pump_rate_hz=1e6, eta_det=1.0, eta_sd=0.5,
         )
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("pump_rate_hz", 0.0),
+        ("pump_rate_hz", -1e6),
+        ("pump_rate_hz", float("nan")),
+        ("pump_rate_hz", float("inf")),
+        ("eta_sd", 0.0),
+        ("eta_sd", -0.1),
+        ("eta_sd", 2.0),
+        ("eta_sd", float("nan")),
+        ("eta_det", 0.0),
+        ("eta_det", 1.5),
+        ("eta_det", float("nan")),
+    ],
+)
+def test_fit_switching_efficiency_refuses_inputs_outside_its_model(name, value):
+    # eta_sd 0.0 used to give eta_dm 0.75 +- 0, -0.1 gave 0.498 and 2.0 gave 0.376;
+    # nan escaped as a ValueError with no exit code, and an infinite pump rate gave a fit
+    inputs = {"pump_rate_hz": 1e6, "eta_det": 1.0, "eta_sd": 0.5, name: value}
+    points = [make_counts(2, 0.78), make_counts(3, 0.78)]
+    with pytest.raises(DomainError, match=name):
+        fit_switching_efficiency(points, **inputs)

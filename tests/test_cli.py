@@ -343,6 +343,15 @@ def test_exit_code_integral_float_count(tmp_path):
     assert not (tmp_path / "run.tags").exists()
 
 
+def test_exit_code_custom_network_root_not_a_node(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    network = "  topology: balanced\n  outputs: 4\n"
+    bad.write_text(BRIGHT_YAML.replace(network, "  topology: custom\n  root: 3\n"))
+    capsys.readouterr()
+    assert run(["predict", "--config", bad]) == 2
+    assert "malformed network node 3" in capsys.readouterr().err
+
+
 def test_exit_code_custom_schedule(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text(

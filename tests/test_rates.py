@@ -73,6 +73,11 @@ def test_enumeration_gap_at_four_is_extra_derangements(eta):
     assert abs(gap - expected) <= 1e-13
 
 
+@given(etas)
+def test_enumeration_of_one_output_is_one(eta):
+    assert s_active_enumerated(1, eta) == s_active(1, eta) == 1.0
+
+
 def test_domain_validation():
     with pytest.raises(DomainError):
         s_active(0, 0.5)

@@ -238,6 +238,42 @@ def test_singles_rates_of_a_zero_pulse_stream_are_refused():
         stream.singles_rates_hz()
 
 
+def test_acquisition_time_of_a_zero_pulse_stream_is_refused():
+    # it used to be 0.0 s, which every rate then divides by
+    with pytest.raises(DataError, match="pulse_count 0 has no acquisition time"):
+        make_stream([], pulse_count=0).acquisition_s
+
+
+@pytest.mark.parametrize(
+    "events, pulse_count, last",
+    [
+        ([(1, 0), (2, 5000)], 1000, 5000),
+        ([(1, 0), (2, 1000)], 1000, 1000),  # pulse_count itself is past the run
+        ([(1, p) for p in range(tags._CHUNK_RECORDS + 1)], tags._CHUNK_RECORDS, 65536),
+    ],
+    ids=["far-past", "at-pulse-count", "in-a-later-chunk"],
+)
+def test_singles_refuse_a_record_past_the_run(events, pulse_count, last):
+    # the rates used to come out over too short a run: [80000, 80000, 0, 0] for the first
+    stream = make_stream(events, pulse_count=pulse_count)
+    message = f"record pulse {last} is not below pulse_count {pulse_count}"
+    with pytest.raises(DataError, match=message):
+        stream.singles_counts()
+    with pytest.raises(DataError, match=message):
+        stream.singles_rates_hz()
+
+
+def test_singles_count_the_last_pulse_of_the_run():
+    stream = make_stream([(1, 0), (3, 999)], pulse_count=1000)
+    np.testing.assert_array_equal(stream.singles_counts(), [1, 0, 1, 0])
+
+
+def test_a_stream_is_unequal_to_anything_else():
+    stream = make_stream([(1, 0)])
+    assert stream.__eq__((stream.channels, stream.timestamps_ps)) is NotImplemented
+    assert stream != "stream" and stream != 1
+
+
 def test_strided_columns_round_trip(tmp_path):
     table = np.array([[1, 0], [3, PERIOD_PS], [2, 5 * PERIOD_PS]], dtype=np.uint64)
     stream = TimeTagStream(table[:, 0], table[:, 1], make_meta())  # non-contiguous views
