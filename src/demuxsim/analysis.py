@@ -90,9 +90,10 @@ def pair_histograms(
     and channel b fires d pulses later, for d >= 0; negative delays are its
     transpose.  Dense streams count 64 slots at a time in per-channel bitsets,
     sparse ones walk each record's neighbours in slot order.  Working memory
-    scales with the number of records, not the pulse count.
+    follows the chunk of records read at a time, not the record or pulse count.
     """
-    pairs = [(int(a), int(b)) for a, b in pairs]
+    pairs = [_integers("channels", (a, b)) for a, b in pairs]
+    (max_delay_bins,) = _integers("max_delay_bins", (max_delay_bins,))
     if max_delay_bins < 0:
         raise DomainError(f"max_delay_bins must be >= 0, got {max_delay_bins!r}")
     if any(a == b for a, b in pairs):
@@ -135,6 +136,14 @@ _BLOCK_WORDS = 1 << 12
 # +-64, the two kernels took equal times where the bitset kernel's modelled
 # work was 8 to 13 times the neighbour walk's
 _GATHER_COST = 10.0
+
+
+def _integers(name: str, values: Sequence[int]) -> tuple[int, ...]:
+    """values as ints; numpy integers count, and bools, floats and strings raise DomainError."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name}: expected an integer, got {value!r}")
+    return tuple(int(value) for value in values)
 
 
 def _check_channels(stream: TimeTagStream, channels: Sequence[int]) -> None:
@@ -192,26 +201,43 @@ def _slot_chunks(stream: TimeTagStream, channels: Sequence[int], horizon: int):
         np.cumsum(slots, out=slots)
         slots += last_slot
         last_pulse, last_slot = pulses[-1], slots[-1]
+        del pulses  # not held while the caller works on the chunk
         yield slots, rows
 
 
-def _bitsets(stream: TimeTagStream, channels: Sequence[int], horizon: int):
-    """Per-channel slot bitsets and the number of words that hold records.
+def _windows(stream: TimeTagStream, channels: Sequence[int], horizon: int):
+    """Yield (bits, used): per-channel slot bitsets, one window of words at a time.
 
-    Bit s & 63 of bits[i, s >> 6] is set when channels[i] has a record in
-    slot s.  Past the words that hold records there are enough zero words for
-    _shifted to read horizon slots ahead.
+    Bit s & 63 of bits[i, (s >> 6) - base] is set when channels[i] has a
+    record in slot s, where base is the window's first word.  Its first used
+    words are final, in whole blocks but for the last window, and so are the
+    horizon // 64 + 1 words after them that _shifted reads ahead (zero past the
+    last record).  The words still open slide down to the next window in one
+    buffer, which grows only when a chunk needs more room, so memory follows
+    the chunk, not the stream; a window holds until the next one is asked for.
     """
-    words = _slot_bound(stream, horizon) // 64 + 2
-    bits = np.zeros((len(channels), words), dtype=np.uint64)
-    used = 0
+    ahead = horizon // 64 + 1
+    bits = np.zeros((len(channels), 0), dtype=np.uint64)
+    base = top = 0
     for slots, rows in _slot_chunks(stream, channels, horizon):
-        # every record has its own (slot, channel), so adding bits sets them
-        index = slots >> 6
-        index += rows * words
-        np.add.at(bits.reshape(-1), index, np.uint64(1) << (slots.view(np.uint64) & np.uint64(63)))
-        used = int(slots[-1] >> 6) + 1
-    return bits, used
+        top = int(slots[-1] >> 6) - base + 1  # words below top - 1 are final
+        if top + ahead > bits.shape[1]:  # at least double, so a wide chunk grows it rarely
+            bits = np.concatenate([bits, np.zeros((len(channels), top + ahead), np.uint64)], axis=1)
+        # every record has its own (slot, channel), so adding bits sets them;
+        # no index outlives the statement, so none is held while a window is counted
+        np.add.at(
+            bits.reshape(-1),
+            (slots >> 6) + (rows * bits.shape[1] - base),
+            np.uint64(1) << (slots.view(np.uint64) & np.uint64(63)),
+        )
+        used = max(top - 1 - ahead, 0) // _BLOCK_WORDS * _BLOCK_WORDS
+        if used:
+            yield bits, used
+            bits[:, : top - used] = bits[:, used:top]
+            bits[:, top - used : top] = 0
+            base, top = base + used, top - used
+    if top:
+        yield bits, top
 
 
 def _shifted(bits: np.ndarray, start: int, stop: int, delay: int) -> np.ndarray:
@@ -225,14 +251,14 @@ def _shifted(bits: np.ndarray, start: int, stop: int, delay: int) -> np.ndarray:
 
 def _dense_pair_counts(stream, channels, horizon) -> np.ndarray:
     """counts[d, a, b] from bitsets: popcount(B_a & (B_b >> d)), blockwise."""
-    bits, used = _bitsets(stream, channels, horizon)
     counts = np.zeros((horizon + 1, len(channels), len(channels)), dtype=np.int64)
-    for start in range(0, used, _BLOCK_WORDS):
-        stop = min(start + _BLOCK_WORDS, used)
-        here = bits[:, None, start:stop]
-        for d in range(horizon + 1):
-            both = here & _shifted(bits, start, stop, d)[None]
-            counts[d] += np.add.reduce(np.bitwise_count(both), axis=-1, dtype=np.uint32)
+    for bits, used in _windows(stream, channels, horizon):
+        for start in range(0, used, _BLOCK_WORDS):
+            stop = min(start + _BLOCK_WORDS, used)
+            here = bits[:, None, start:stop]
+            for d in range(horizon + 1):
+                both = here & _shifted(bits, start, stop, d)[None]
+                counts[d] += np.add.reduce(np.bitwise_count(both), axis=-1, dtype=np.uint32)
     return counts
 
 
@@ -332,7 +358,7 @@ def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
     channel has a record, i.e. simultaneity within half a pulse period after
     alignment.  The reported window is the alignment span plus one period.
     """
-    channels = tuple(int(c) for c in channels)
+    channels = _integers("channels", channels)
     if len(channels) < 2 or len(set(channels)) != len(channels):
         raise DomainError(f"need >= 2 distinct channels, got {channels!r}")
     schedule_delays = channel_delay_bins(stream.meta.schedule_targets, channels)
@@ -340,15 +366,15 @@ def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
     _check_channels(stream, channels)
     acquisition_s = stream.acquisition_s  # refuses a run of 0 pulses before any counting
     # an event is a slot s where every channel fires at s + its offset
-    bits, used = _bitsets(stream, channels, span)
     lead = min(schedule_delays)
     count = 0
-    for start in range(0, used, _BLOCK_WORDS):
-        stop = min(start + _BLOCK_WORDS, used)
-        hits = ~np.uint64(0)
-        for i, d in enumerate(schedule_delays):
-            hits = hits & _shifted(bits[i : i + 1], start, stop, d - lead)
-        count += int(np.bitwise_count(hits).sum())
+    for bits, used in _windows(stream, channels, span):
+        for start in range(0, used, _BLOCK_WORDS):
+            stop = min(start + _BLOCK_WORDS, used)
+            hits = ~np.uint64(0)
+            for i, d in enumerate(schedule_delays):
+                hits = hits & _shifted(bits[i : i + 1], start, stop, d - lead)
+            count += int(np.bitwise_count(hits).sum())
     return NFoldCounts(
         n=len(channels),
         channels=channels,

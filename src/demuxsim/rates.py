@@ -53,11 +53,13 @@ class EmitterParams:
     fiber_coupling: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.pump_rate_hz <= 0:
-            raise DomainError(f"pump_rate_hz must be positive, got {self.pump_rate_hz!r}")
-        if self.saturation_power_uw <= 0:
+        if not 0 < self.pump_rate_hz < math.inf:  # NaN fails too
             raise DomainError(
-                f"saturation_power_uw must be positive, got {self.saturation_power_uw!r}"
+                f"pump_rate_hz must be finite and positive, got {self.pump_rate_hz!r}"
+            )
+        if not 0 < self.saturation_power_uw < math.inf:
+            raise DomainError(
+                f"saturation_power_uw must be finite and positive, got {self.saturation_power_uw!r}"
             )
         _check_unit_interval("max_brightness", self.max_brightness)
         _check_unit_interval("polarized_fraction", self.polarized_fraction)
@@ -201,8 +203,8 @@ def n_fold_rate(
     """n-fold coincidence rate R * (eta_sd * eta_det)^n * s_dm."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
-    if pump_rate_hz <= 0:
-        raise DomainError(f"pump_rate_hz must be positive, got {pump_rate_hz!r}")
+    if not 0 < pump_rate_hz < math.inf:  # NaN fails too
+        raise DomainError(f"pump_rate_hz must be finite and positive, got {pump_rate_hz!r}")
     _check_unit_interval("eta_sd", eta_sd)
     _check_unit_interval("eta_det", eta_det)
     _check_unit_interval("s_dm", s_dm)
@@ -222,10 +224,10 @@ def compose_transmission(budget: LossBudget) -> float:
 
 def saturation_brightness(pump_power_uw: float, p0_uw: float, max_value: float) -> float:
     """Saturating brightness max_value * (1 - exp(-P/P0))."""
-    if pump_power_uw < 0:
-        raise DomainError(f"pump_power_uw must be non-negative, got {pump_power_uw!r}")
-    if p0_uw <= 0:
-        raise DomainError(f"p0_uw must be positive, got {p0_uw!r}")
+    if not 0 <= pump_power_uw < math.inf:  # NaN fails too
+        raise DomainError(f"pump_power_uw must be finite and >= 0, got {pump_power_uw!r}")
+    if not 0 < p0_uw < math.inf:
+        raise DomainError(f"p0_uw must be finite and positive, got {p0_uw!r}")
     return max_value * (1.0 - math.exp(-pump_power_uw / p0_uw))
 
 

@@ -90,8 +90,8 @@ class SimConfig:
             raise ConfigError(f"pulse_count must be an integer >= 0, got {count!r}")
         if not 0.0 <= self.eta_det <= 1.0:
             raise DomainError(f"eta_det must lie in [0, 1], got {self.eta_det!r}")
-        if self.pump_power_uw < 0:
-            raise DomainError(f"pump_power_uw must be >= 0, got {self.pump_power_uw!r}")
+        if not 0 <= self.pump_power_uw < math.inf:  # NaN fails too
+            raise DomainError(f"pump_power_uw must be finite and >= 0, got {self.pump_power_uw!r}")
         seed = self.rng_seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigError(f"rng_seed must be an integer >= 0, got {seed!r}")

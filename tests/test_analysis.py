@@ -182,6 +182,30 @@ def test_histogram_validation():
             pair_histograms(stream, [(1, 2), (a, b)], max_delay_bins=4)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+def test_channels_and_delay_ranges_must_be_integers(bad):
+    # (1.5, 2) used to give a histogram labelled channel 1, (1.7, 2) and (True, 2)
+    # counted channels (1, 2), and max_delay_bins=True was read as 1
+    stream = make_stream([(1, 0), (2, 1)])
+    with pytest.raises(DomainError, match="expected an integer"):
+        pair_histograms(stream, [(bad, 2)], 2)
+    with pytest.raises(DomainError, match="expected an integer"):
+        pair_histograms(stream, [(1, 2)], bad)
+    with pytest.raises(DomainError, match="expected an integer"):
+        count_nfold(stream, (bad, 2))
+    with pytest.raises(DomainError, match="expected an integer"):
+        count_nfold(stream, (2, bad))
+
+
+def test_numpy_integer_channels_and_delay_ranges_are_accepted():
+    stream = make_stream([(1, 0), (2, 1)])
+    (hist,) = pair_histograms(stream, [(np.int64(1), np.uint8(2))], np.int32(2))
+    assert (hist.channel_a, hist.channel_b) == (1, 2) and type(hist.channel_a) is int
+    np.testing.assert_array_equal(hist.counts, [0, 0, 0, 1, 0])
+    nfold = count_nfold(stream, np.array([1, 2]))
+    assert nfold.count == 1 and nfold.channels == (1, 2)
+
+
 def test_g2_ratio_from_synthetic_histogram():
     delays = np.arange(-12, 13)
     counts = np.full(delays.size, 700, dtype=np.int64)
@@ -588,6 +612,81 @@ def test_sparse_analysis_memory_follows_the_chunk():
         return int(np.sum(np.searchsorted(at, at + 64, side="right") - np.arange(len(at)) - 1))
     expected = near_pairs(pulses) - sum(near_pairs(pulses[rows == r]) for r in range(n))
     assert sum(hist.total() for hist in hists) == expected
+
+
+def window_ends(stream, channels, horizon):
+    """The words at which _windows ends a window, counted from the stream's first slot."""
+    ends, base = set(), 0
+    for _, used in analysis._windows(stream, channels, horizon):
+        base += used
+        ends.add(base)
+    return ends
+
+
+@pytest.mark.parametrize("chunk", [2, 7])
+@pytest.mark.parametrize("words", [1, 3])
+@pytest.mark.parametrize("horizon", [0, 63, 64, 130])
+def test_windows_end_on_every_word_around_a_delay(horizon, words, chunk):
+    # channel 3 fires on every pulse, so slots are pulses and the windows
+    # advance word by word; channel 1 fires at s and channel 2 at s + h and
+    # s + h + 1, with s on the first and last bit of three consecutive words,
+    # so that across the pairs a window ends on every word offset from q + 2
+    # words before the pair to q + 2 after it, q = h // 64
+    q, first = horizon // 64, horizon // 64 + 3
+    starts = [64 * (first + j) + r for j in range(3) for r in (0, 63)]
+    pairs_at = [(1, s) for s in starts] + [(2, s + horizon + d) for s in starts for d in (0, 1)]
+    last = 64 * (first + 2 * q + 8)  # so the word q + 2 past the pairs is final before the end
+    events = sorted(set(pairs_at + [(3, p) for p in range(last)]))
+    stream = make_stream(events, pulse_count=last)
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    with blocks(words), chunked(chunk):
+        ends = window_ends(stream, [1, 2, 3], horizon)
+        assert {w for w in range(first - q - 2, first + 3 + q + 2) if w % words == 0} <= ends
+        for name in KERNELS:
+            with kernel(name):
+                hists = pair_histograms(stream, pairs, horizon)
+            for (a, b), hist in zip(pairs, hists):
+                expected = pairwise_oracle(events, a, b, horizon)
+                np.testing.assert_array_equal(hist.counts, expected)
+        assert hists[0].counts[-1] == len(starts)  # every pair at delay h, none at h + 1
+        # channel 1 leads, 3 follows one bin later and 2 max(h, 1) bins later
+        span = max(horizon, 1)
+        targets = (1, 3) + (4,) * (span - 2) + (2,) if span > 1 else (1, 2, 3)
+        scheduled = make_stream(events, targets=targets, pulse_count=last)
+        for channels in [(1, 2), (1, 2, 3), (2, 3)]:
+            slots = [{p - targets.index(ch) for c, p in events if c == ch} for ch in channels]
+            assert count_nfold(scheduled, channels).count == len(set.intersection(*slots))
+
+
+def memory_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bitset_memory_does_not_grow_with_the_record_count():
+    # four channels at one record per 430 pulses, device.yaml's density: whole-
+    # stream bitsets grew by about 2 B per record for a 4-fold count and 4 B
+    # for the dense pair kernel at +-8, so 0.9M more records cost about 2 and 4 MB
+    rng = np.random.default_rng(11)
+    peaks = []
+    for records in (300_000, 1_200_000):
+        n_pulses = 430 * records
+        pulses = np.unique(rng.integers(0, n_pulses, size=records))
+        meta = make_stream([], pulse_count=n_pulses).meta
+        stream = TimeTagStream(
+            rng.integers(1, 5, size=pulses.size), pulses.astype(np.uint64) * PERIOD_PS, meta
+        )
+        peaks.append([
+            memory_peak(lambda: count_nfold(stream, (1, 2, 3, 4))),
+            memory_peak(lambda: analysis._dense_pair_counts(stream, [1, 2, 3, 4], 8)),
+        ])
+    (nfold_small, dense_small), (nfold_large, dense_large) = peaks
+    assert abs(nfold_large - nfold_small) < 1e6
+    assert abs(dense_large - dense_small) < 1e6
 
 
 def dense_stream(n_pulses, n_channels, p, seed):

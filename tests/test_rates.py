@@ -110,6 +110,25 @@ def test_out_of_range_parameters_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: EmitterParams(pump_rate_hz=bad, saturation_power_uw=1.0, max_brightness=0.5),
+        lambda bad: EmitterParams(pump_rate_hz=8e7, saturation_power_uw=bad, max_brightness=0.5),
+        lambda bad: n_fold_rate(2, bad, 0.5, 0.5, 0.25),
+        lambda bad: saturation_brightness(bad, 1.0, 0.5),
+        lambda bad: saturation_brightness(1.0, bad, 0.5),
+    ],
+    ids=["emitter-pump-rate", "emitter-saturation-power", "n-fold-pump-rate", "power", "p0"],
+)
+def test_non_finite_rate_inputs_are_refused(build, bad):
+    # NaN used to pass every "<= 0" check and come out as a rate of nan; an
+    # infinite saturation power gave a brightness of 0
+    with pytest.raises(DomainError, match="finite"):
+        build(bad)
+
+
 # ---------------------------------------------------------------------------
 # rate law and transmission
 # ---------------------------------------------------------------------------

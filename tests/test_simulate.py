@@ -81,6 +81,14 @@ def test_sim_config_refuses_unset_and_out_of_range_values():
         replace(base, pump_power_uw=-1.0)
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_sim_config_refuses_a_non_finite_pump_power(power):
+    # NaN used to build, and simulate then died in math.ceil with a bare ValueError
+    base = make_bright_sim(brightness=0.1, pulses=100, seed=1)
+    with pytest.raises(DomainError, match="pump_power_uw must be finite"):
+        replace(base, pump_power_uw=power)
+
+
 @pytest.mark.parametrize("count", [2.5, 2.0, True, "10", -1])
 def test_pulse_count_must_be_an_integer(count):
     # 2.5 used to simulate 2 pulses and True 1, both without an error
