@@ -20,7 +20,7 @@ from .couplers import (
     channel_delay_bins,
     routing_by_bin,
 )
-from .errors import DataError, DomainError, EstimationError
+from .errors import DataError, DomainError, EstimationError, check_integer, check_positive
 # routing_by_bin and finite_difference_jacobian are unused here: bench/worker.py traces them
 from .fitting import FitResult, damped_least_squares, finite_difference_jacobian
 from .rates import s_active
@@ -92,10 +92,8 @@ def pair_histograms(
     sparse ones walk each record's neighbours in slot order.  Working memory
     follows the chunk of records read at a time, not the record or pulse count.
     """
-    pairs = [_integers("channels", (a, b)) for a, b in pairs]
-    (max_delay_bins,) = _integers("max_delay_bins", (max_delay_bins,))
-    if max_delay_bins < 0:
-        raise DomainError(f"max_delay_bins must be >= 0, got {max_delay_bins!r}")
+    pairs = [(check_integer("channel", a, 1), check_integer("channel", b, 1)) for a, b in pairs]
+    max_delay_bins = check_integer("max_delay_bins", max_delay_bins, 0)
     if any(a == b for a, b in pairs):
         raise DomainError("channel_a and channel_b must differ")
     _check_channels(stream, [c for pair in pairs for c in pair])
@@ -138,17 +136,9 @@ _BLOCK_WORDS = 1 << 12
 _GATHER_COST = 10.0
 
 
-def _integers(name: str, values: Sequence[int]) -> tuple[int, ...]:
-    """values as ints; numpy integers count, and bools, floats and strings raise DomainError."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name}: expected an integer, got {value!r}")
-    return tuple(int(value) for value in values)
-
-
 def _check_channels(stream: TimeTagStream, channels: Sequence[int]) -> None:
     n = stream.meta.n_channels
-    bad = sorted({c for c in channels if not 1 <= c <= n})
+    bad = sorted({c for c in channels if c > n})  # each is an integer >= 1
     if bad:
         raise DomainError(f"channels {bad!r} are outside the stream's 1..{n}")
 
@@ -303,8 +293,8 @@ def g2_ratio(hist: CoincidenceHistogram, period_bins: int, n_peaks: int = 3):
     configuration of the zero-delay bin, so this ratio estimates the source's
     zero-delay correlation independently of the switching pattern.
     """
-    if period_bins < 1:
-        raise DomainError(f"period_bins must be >= 1, got {period_bins!r}")
+    period_bins = check_integer("period_bins", period_bins, 1)
+    n_peaks = check_integer("n_peaks", n_peaks, 1)
     index = {int(d): i for i, d in enumerate(hist.delays)}
     if 0 not in index:
         raise DataError("histogram does not include the zero-delay bin")
@@ -358,7 +348,7 @@ def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
     channel has a record, i.e. simultaneity within half a pulse period after
     alignment.  The reported window is the alignment span plus one period.
     """
-    channels = _integers("channels", channels)
+    channels = tuple(check_integer("channel", c, 1) for c in channels)
     if len(channels) < 2 or len(set(channels)) != len(channels):
         raise DomainError(f"need >= 2 distinct channels, got {channels!r}")
     schedule_delays = channel_delay_bins(stream.meta.schedule_targets, channels)
@@ -386,8 +376,7 @@ def count_nfold(stream: TimeTagStream, channels: Sequence[int]) -> NFoldCounts:
 
 def _check_rate_inputs(pump_rate_hz: float, **efficiencies: float) -> None:
     """Refuse a pump rate that is not finite and > 0, or an efficiency outside (0, 1]."""
-    if not 0 < pump_rate_hz < math.inf:  # NaN fails too
-        raise DomainError(f"pump_rate_hz must be finite and positive, got {pump_rate_hz!r}")
+    check_positive("pump_rate_hz", pump_rate_hz)
     for name, value in efficiencies.items():
         if not 0 < value <= 1:
             raise DomainError(f"{name} must lie in (0, 1], got {value!r}")
@@ -550,6 +539,9 @@ def estimate_splitting_ratios(
 
 def eta_dm_from_ratios(fit: FitResult, network: DemuxNetwork, schedule: Sequence[int]):
     """Switching efficiency from estimate_splitting_ratios' fit, with a delta-method sigma."""
+    missing = [name for name in _ratio_params(network) if name not in fit.names]
+    if missing:
+        raise DomainError(f"the fit has no ratios named {missing!r}")
     index = [fit.names.index(name) for name in _ratio_params(network)]
     columns = _ratio_columns(network, schedule)
     rows, grad = _path_products(network.hops, np.array(fit.values)[index][columns])

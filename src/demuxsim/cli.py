@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis
 from .config import RunConfig, load_config
-from .simulate import shard_and_merge, simulate as run_simulation
+from .simulate import simulate as run_simulation
 from .errors import (
     CompatibilityError,
     ConfigError,
@@ -90,10 +90,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     if not out.parent.is_dir():  # before the first pulse: a run it cannot write is not drawn
         raise FileNotFoundError(f"output directory {out.parent} does not exist")
-    if args.shards == 1:
-        stream = run_simulation(config)
-    else:  # refuses fewer than one shard
-        stream = shard_and_merge(config, args.shards)
+    stream = run_simulation(config, args.shards)  # refuses fewer than one shard
     write_stream(stream, out)
     if args.csv:
         write_csv(stream, out.with_suffix(out.suffix + ".csv"))

@@ -22,10 +22,9 @@ from .couplers import (
     schedule_for_cycle,
     switching_efficiency,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_integer, check_unit_interval
 from .rates import EmitterParams, LossBudget, PredictionConfig, compose_transmission
 from .simulate import SimConfig
-from .tags import _is_int
 
 __all__ = ["load_config", "RunConfig"]
 
@@ -109,12 +108,10 @@ def _number(doc: dict, key: str, where: str) -> float:
     return float(value)
 
 
-def _integer(doc: dict, key: str, where: str) -> int:
+def _integer(doc: dict, key: str, where: str, minimum: int) -> int:
     if key not in doc:
         raise ConfigError(f"missing {where}.{key}")
-    if not _is_int(doc[key]):
-        raise ConfigError(f"{where}.{key} must be an integer, got {doc[key]!r}")
-    return doc[key]
+    return check_integer(f"{where}.{key}", doc[key], minimum, ConfigError)
 
 
 class RunConfig:
@@ -124,7 +121,7 @@ class RunConfig:
         doc = _require_mapping(doc, source)
         _check_keys(doc, _TOP_KEYS, source)
         version = doc.get("config_version")
-        if not _is_int(version) or version != CONFIG_VERSION:
+        if check_integer("config_version", version, 1, ConfigError) != CONFIG_VERSION:
             raise ConfigError(f"config_version must be {CONFIG_VERSION}, got {version!r}")
         self.doc = doc
         self.source = source
@@ -155,9 +152,9 @@ class RunConfig:
         _check_keys(sec, _NETWORK_KEYS, "network")
         topology = sec["topology"]
         if topology == "balanced":
-            return balanced_network(_integer(sec, "outputs", "network"))
+            return balanced_network(_integer(sec, "outputs", "network", 2))
         if topology == "cascade":
-            return cascade_network(_integer(sec, "outputs", "network"))
+            return cascade_network(_integer(sec, "outputs", "network", 2))
         if topology == "custom":
             if "root" not in sec:
                 raise ConfigError("network.topology=custom requires network.root")
@@ -165,9 +162,8 @@ class RunConfig:
         raise ConfigError(f"unknown network.topology {topology!r}")
 
     def _parse_node(self, doc: Any, where: str):
-        if _is_int(doc):
-            return doc
-        doc = _require_mapping(doc, where)
+        if not isinstance(doc, dict):
+            return doc  # a leaf, which DemuxNetwork checks is an output label
         _check_keys(doc, {"coupler_id": True, "through": True, "cross": True}, where)
         return CouplerNode(
             coupler_id=str(doc["coupler_id"]),
@@ -200,14 +196,9 @@ class RunConfig:
                 table[str(cid)] = params.ratios()
             else:
                 _check_keys(spec, _COUPLER_STATE_KEYS, f"couplers.{cid}")
-                ratios = {}
-                for state in ("on", "off"):
-                    value = _number(spec, state, f"couplers.{cid}")
-                    if not 0.0 <= value <= 1.0:
-                        raise ConfigError(
-                            f"couplers.{cid}.{state} must lie in [0, 1], got {value!r}"
-                        )
-                    ratios[state] = value
+                ratios = {state: _number(spec, state, f"couplers.{cid}") for state in ("on", "off")}
+                for state, value in ratios.items():
+                    check_unit_interval(f"couplers.{cid}.{state}", value, ConfigError)
                 table[str(cid)] = ratios
         if not table:
             raise ConfigError("couplers section is empty")
@@ -249,9 +240,7 @@ class RunConfig:
         sec = _require_mapping(sec, "detectors")
         _check_keys(sec, _DETECTOR_KEYS, "detectors")
         eta = _number(sec, "efficiency", "detectors")
-        if not 0.0 <= eta <= 1.0:
-            raise ConfigError(f"detectors.efficiency must lie in [0, 1], got {eta!r}")
-        return eta
+        return check_unit_interval("detectors.efficiency", eta, ConfigError)
 
     def _validate_couplers_cover_network(self) -> None:
         missing = [cid for cid in self.network.coupler_ids if cid not in self.couplers]
@@ -273,7 +262,7 @@ class RunConfig:
             eta_det=self.eta_det,
             pump_power_uw=_number(sec, "pump_power_uw", "simulation"),
             rng_seed=sec["seed"],
-            pulse_count=_integer(sec, "pulses", "simulation"),
+            pulse_count=_integer(sec, "pulses", "simulation", 0),
         )
 
     def _build_prediction(self) -> tuple[PredictionConfig, int]:
@@ -287,9 +276,7 @@ class RunConfig:
             eta_dm = _number(sec, "eta_dm", "prediction")
         else:
             eta_dm = switching_efficiency(self.network, self.schedule, self.couplers)
-        n_max = _integer(sec, "n_max", "prediction") if "n_max" in sec else 10
-        if n_max < 1:
-            raise ConfigError(f"prediction.n_max must be >= 1, got {n_max!r}")
+        n_max = _integer(sec, "n_max", "prediction", 1) if "n_max" in sec else 10
         prediction = PredictionConfig(
             source=self.emitter,
             transmission=compose_transmission(self.budget),

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integer, check_positive
 
 __all__ = [
     "cross_fraction",
@@ -45,10 +45,8 @@ def cross_fraction(kappa_per_mm: float, length_mm: float, delta_beta_per_mm: flo
     [kappa^2 / g^2] * sin^2(g L) with g = sqrt(kappa^2 + (delta_beta/2)^2).
     Even in delta_beta; equals sin^2(kappa L) at zero detuning.
     """
-    if kappa_per_mm <= 0:
-        raise DomainError(f"kappa_per_mm must be positive, got {kappa_per_mm!r}")
-    if length_mm <= 0:
-        raise DomainError(f"length_mm must be positive, got {length_mm!r}")
+    check_positive("kappa_per_mm", kappa_per_mm)
+    check_positive("length_mm", length_mm)
     g = math.hypot(kappa_per_mm, delta_beta_per_mm / 2.0)
     return (kappa_per_mm / g) ** 2 * math.sin(g * length_mm) ** 2
 
@@ -161,7 +159,8 @@ def balanced_network(n_outputs: int) -> DemuxNetwork:
     lower half of the outputs; leaf switches put the odd output on the
     through port.
     """
-    if n_outputs < 2 or n_outputs & (n_outputs - 1):
+    n_outputs = check_integer("n_outputs", n_outputs, 2, ConfigError)  # leaves are Python ints
+    if n_outputs & (n_outputs - 1):
         raise ConfigError(f"balanced topology needs a power-of-two n >= 2, got {n_outputs!r}")
 
     def assemble(i: int, lo: int, hi: int):
@@ -179,8 +178,7 @@ def balanced_network(n_outputs: int) -> DemuxNetwork:
 
 def cascade_network(n_outputs: int) -> DemuxNetwork:
     """Chain layout: switch k taps output k off its through port."""
-    if n_outputs < 2:
-        raise ConfigError(f"cascade topology needs n >= 2, got {n_outputs!r}")
+    n_outputs = check_integer("n_outputs", n_outputs, 2, ConfigError)  # leaves are Python ints
 
     def build(k: int):
         if k == n_outputs - 1:
@@ -206,11 +204,10 @@ def schedule_for_cycle(
     targets = tuple(range(1, network.n_outputs + 1) if targets is None else targets)
     if not targets:
         raise ConfigError("a schedule needs at least one bin")
+    targets = tuple(check_integer("schedule target", t, 1, ConfigError) for t in targets)
     for t in targets:
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-            raise ConfigError(f"schedule targets must be integers, got {targets!r}")
         network.path_to(t)  # raises on an output this network lacks
-    return tuple(int(t) for t in targets)
+    return targets
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,13 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import DomainError
+from .errors import (
+    DomainError,
+    check_integer,
+    check_non_negative,
+    check_positive,
+    check_unit_interval,
+)
 
 __all__ = [
     "EmitterParams",
@@ -28,11 +34,6 @@ __all__ = [
     "predict_rates",
     "crossover_n",
 ]
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,11 @@ class EmitterParams:
     fiber_coupling: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.pump_rate_hz < math.inf:  # NaN fails too
-            raise DomainError(
-                f"pump_rate_hz must be finite and positive, got {self.pump_rate_hz!r}"
-            )
-        if not 0 < self.saturation_power_uw < math.inf:
-            raise DomainError(
-                f"saturation_power_uw must be finite and positive, got {self.saturation_power_uw!r}"
-            )
-        _check_unit_interval("max_brightness", self.max_brightness)
-        _check_unit_interval("polarized_fraction", self.polarized_fraction)
-        _check_unit_interval("fiber_coupling", self.fiber_coupling)
+        check_positive("pump_rate_hz", self.pump_rate_hz)
+        check_positive("saturation_power_uw", self.saturation_power_uw)
+        check_unit_interval("max_brightness", self.max_brightness)
+        check_unit_interval("polarized_fraction", self.polarized_fraction)
+        check_unit_interval("fiber_coupling", self.fiber_coupling)
         if not 0.0 <= self.g2_zero < 1.0:
             raise DomainError(f"g2_zero must lie in [0, 1), got {self.g2_zero!r}")
 
@@ -93,18 +88,16 @@ class LossBudget:
     device_length_cm: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_unit_interval("mode_overlap", self.mode_overlap)
-        _check_unit_interval("fresnel_in", self.fresnel_in)
-        _check_unit_interval("fresnel_out", self.fresnel_out)
-        if self.propagation_db_per_cm < 0:
-            raise DomainError("propagation_db_per_cm must be non-negative")
-        if self.device_length_cm < 0:
-            raise DomainError("device_length_cm must be non-negative")
+        check_unit_interval("mode_overlap", self.mode_overlap)
+        check_unit_interval("fresnel_in", self.fresnel_in)
+        check_unit_interval("fresnel_out", self.fresnel_out)
+        check_non_negative("propagation_db_per_cm", self.propagation_db_per_cm)
+        check_non_negative("device_length_cm", self.device_length_cm)
 
     @classmethod
     def from_transmission(cls, transmission: float) -> "LossBudget":
         """Budget with a single lumped transmission factor."""
-        _check_unit_interval("transmission", transmission)
+        check_unit_interval("transmission", transmission)
         return cls(mode_overlap=transmission)
 
 
@@ -132,9 +125,9 @@ class PredictionConfig:
     include_detectors: bool = False
 
     def __post_init__(self) -> None:
-        _check_unit_interval("transmission", self.transmission)
-        _check_unit_interval("eta_dm", self.eta_dm)
-        _check_unit_interval("eta_det", self.eta_det)
+        check_unit_interval("transmission", self.transmission)
+        check_unit_interval("eta_dm", self.eta_dm)
+        check_unit_interval("eta_det", self.eta_det)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +142,8 @@ def s_active(n: int, eta_dm: float) -> float:
     model and matches exhaustive enumeration only for n <= 3 (see
     s_active_enumerated).
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    _check_unit_interval("eta_dm", eta_dm)
+    n = check_integer("n", n, 1)
+    check_unit_interval("eta_dm", eta_dm)
     if n == 1:
         return 1.0
     return (eta_dm**n + (n - 1) * ((1.0 - eta_dm) / (n - 1)) ** n) / n
@@ -166,11 +158,10 @@ def s_active_enumerated(n: int, eta_dm: float) -> float:
     s_active exactly for n in {2, 3}; for n >= 4 there are more derangements
     than the closed form's n-1 copies, so the enumerated value is larger.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    n = check_integer("n", n, 1)
     if n > 8:
         raise DomainError("enumeration is factorial in n; use n <= 8")
-    _check_unit_interval("eta_dm", eta_dm)
+    check_unit_interval("eta_dm", eta_dm)
     if n == 1:
         return 1.0
     miss = (1.0 - eta_dm) / (n - 1)
@@ -184,8 +175,7 @@ def s_active_enumerated(n: int, eta_dm: float) -> float:
 
 def s_probabilistic(n: int) -> float:
     """Scaling factor of the passive baseline: (1/n)^n."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    n = check_integer("n", n, 1)
     return (1.0 / n) ** n
 
 
@@ -201,13 +191,11 @@ def n_fold_rate(
     s_dm: float,
 ) -> float:
     """n-fold coincidence rate R * (eta_sd * eta_det)^n * s_dm."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    if not 0 < pump_rate_hz < math.inf:  # NaN fails too
-        raise DomainError(f"pump_rate_hz must be finite and positive, got {pump_rate_hz!r}")
-    _check_unit_interval("eta_sd", eta_sd)
-    _check_unit_interval("eta_det", eta_det)
-    _check_unit_interval("s_dm", s_dm)
+    n = check_integer("n", n, 1)
+    check_positive("pump_rate_hz", pump_rate_hz)
+    check_unit_interval("eta_sd", eta_sd)
+    check_unit_interval("eta_det", eta_det)
+    check_unit_interval("s_dm", s_dm)
     return pump_rate_hz * (eta_sd * eta_det) ** n * s_dm
 
 
@@ -224,15 +212,14 @@ def compose_transmission(budget: LossBudget) -> float:
 
 def saturation_brightness(pump_power_uw: float, p0_uw: float, max_value: float) -> float:
     """Saturating brightness max_value * (1 - exp(-P/P0))."""
-    if not 0 <= pump_power_uw < math.inf:  # NaN fails too
-        raise DomainError(f"pump_power_uw must be finite and >= 0, got {pump_power_uw!r}")
-    if not 0 < p0_uw < math.inf:
-        raise DomainError(f"p0_uw must be finite and positive, got {p0_uw!r}")
+    check_non_negative("pump_power_uw", pump_power_uw)
+    check_positive("p0_uw", p0_uw)
     return max_value * (1.0 - math.exp(-pump_power_uw / p0_uw))
 
 
 def _predictions(config: PredictionConfig, n: int) -> tuple[RatePrediction, RatePrediction]:
     """The active and the probabilistic prediction; the passive baseline is lossless."""
+    n = check_integer("n", n, 1)  # stored in each prediction as a Python int
     brightness, pump_rate_hz = config.source.saturated_brightness, config.source.pump_rate_hz
     eta_det = config.eta_det if config.include_detectors else 1.0
     s_dm = s_active(n, config.eta_dm)
@@ -257,9 +244,7 @@ def crossover_n(config: PredictionConfig, n_max: int) -> int | None:
     Both schemes use the same configuration.  Returns None when the active
     scheme never wins within n_max.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max!r}")
-    for n in range(1, n_max + 1):
+    for n in range(1, check_integer("n_max", n_max, 1) + 1):
         active, passive = _predictions(config, n)
         if active.rate_hz > passive.rate_hz:
             return n

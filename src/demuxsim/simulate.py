@@ -12,7 +12,7 @@ a click detector cannot resolve them.
 Randomness is counter-based: pulses are laid out on a fixed grid of
 2**16-pulse blocks, and the uniforms for a block depend only on
 (seed, block_index).  Sharding a run therefore cannot change its draws, and
-shard_and_merge reproduces single-shot output exactly; nor can the number of
+simulate gives the same stream for every shard count; nor can the number of
 threads that simulate the blocks.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .couplers import DemuxNetwork, RatioTable, routing_by_bin, schedule_for_cycle
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integer, check_non_negative, check_unit_interval
 from .rates import EmitterParams, LossBudget, compose_transmission
 from .tags import StreamMeta, TimeTagStream
 
@@ -36,7 +36,6 @@ __all__ = [
     "SimConfig",
     "second_photon_probability",
     "simulate",
-    "shard_and_merge",
 ]
 
 BLOCK_PULSES = 1 << 16  # fixed draw-grid block; independent of shard layout
@@ -53,6 +52,7 @@ def second_photon_probability(p1: float, g2_zero: float) -> float:
     pulsed zero-delay correlation is 2*p1*p2 / (p1 + p2)**2; solving for p2
     needs g2 < 0.5, the ceiling of this two-photon emission model.
     """
+    check_unit_interval("p1", p1)
     if not 0.0 <= g2_zero < 1.0:
         raise DomainError(f"g2_zero must lie in [0, 1), got {g2_zero!r}")
     if g2_zero == 0.0 or p1 == 0.0:
@@ -70,7 +70,7 @@ class SimConfig:
 
     The schedule is stored as schedule_for_cycle's checked tuple of outputs;
     pulse_count is an integer >= 0, and rng_seed a mandatory integer >= 0 so
-    no run is silently irreproducible.
+    no run is silently irreproducible; both are stored as Python ints.
     """
 
     emitter: EmitterParams
@@ -85,19 +85,13 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", schedule_for_cycle(self.network, self.schedule))
-        count = self.pulse_count
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-            raise ConfigError(f"pulse_count must be an integer >= 0, got {count!r}")
-        if not 0.0 <= self.eta_det <= 1.0:
-            raise DomainError(f"eta_det must lie in [0, 1], got {self.eta_det!r}")
-        if not 0 <= self.pump_power_uw < math.inf:  # NaN fails too
-            raise DomainError(f"pump_power_uw must be finite and >= 0, got {self.pump_power_uw!r}")
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"rng_seed must be an integer >= 0, got {seed!r}")
+        for key in ("pulse_count", "rng_seed"):
+            object.__setattr__(self, key, check_integer(key, getattr(self, key), 0, ConfigError))
+        check_unit_interval("eta_det", self.eta_det)
+        check_non_negative("pump_power_uw", self.pump_power_uw)
 
     def resolved_pulse_count(self) -> int:
-        return int(self.pulse_count)
+        return self.pulse_count
 
     def pulse_period_ps(self) -> int:
         return int(round(1e12 / self.emitter.pump_rate_hz))
@@ -129,7 +123,7 @@ class SimConfig:
             config_digest=self.device_digest(),
             pump_rate_hz=self.emitter.pump_rate_hz,
             pulse_period_ps=self.pulse_period_ps(),
-            pulse_count=self.resolved_pulse_count(),
+            pulse_count=self.pulse_count,
             n_channels=self.network.n_outputs,
             schedule_targets=self.schedule,
         )
@@ -231,16 +225,10 @@ def _simulate_range(config: SimConfig, start: int, stop: int) -> list:
     return [run_block(block) for block in blocks]
 
 
-def simulate(config: SimConfig) -> TimeTagStream:
-    """Run the full simulation, as one shard; the stream keeps each record at 3 bytes."""
-    return shard_and_merge(config, 1)
-
-
-def shard_and_merge(config: SimConfig, n_shards: int) -> TimeTagStream:
+def simulate(config: SimConfig, shards: int = 1) -> TimeTagStream:
     """Simulate in contiguous pulse shards and chain their blocks; any shard count, one stream."""
-    if n_shards < 1:
-        raise ConfigError(f"n_shards must be >= 1, got {n_shards!r}")
-    edges = np.linspace(0, config.resolved_pulse_count(), n_shards + 1).astype(np.int64)
-    shards = zip(edges[:-1].tolist(), edges[1:].tolist())
-    blocks = [block for lo, hi in shards for block in _simulate_range(config, lo, hi)]
+    shards = check_integer("shards", shards, 1, ConfigError)
+    edges = np.linspace(0, config.pulse_count, shards + 1).astype(np.int64)
+    ranges = zip(edges[:-1].tolist(), edges[1:].tolist())
+    blocks = [block for lo, hi in ranges for block in _simulate_range(config, lo, hi)]
     return TimeTagStream._of_parts(_Blocks(blocks, config.pulse_period_ps()), config.stream_meta())

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_integer, check_positive
 
 __all__ = [
     "StreamMeta",
@@ -54,28 +53,24 @@ class StreamMeta:
     schedule_targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """Refuse any value no simulated run can produce, naming its field."""
-        rate = self.pump_rate_hz
-        if not (_is_int(rate) or isinstance(rate, float)) or not 0 < rate <= sys.float_info.max:
-            raise DataError(f"pump_rate_hz must be finite and > 0, got {rate!r}")
+        """Refuse any value no simulated run can produce, naming its field; store Python numbers."""
+        rate = float(check_positive("pump_rate_hz", self.pump_rate_hz, DataError))
+        object.__setattr__(self, "pump_rate_hz", rate)
         for key, minimum in (("n_channels", 1), ("pulse_period_ps", 1), ("pulse_count", 0)):
-            value = getattr(self, key)
-            if not _is_int(value) or value < minimum:
-                raise DataError(f"{key} must be an integer >= {minimum}, got {value!r}")
+            value = check_integer(key, getattr(self, key), minimum, DataError)
+            object.__setattr__(self, key, value)
         targets = self.schedule_targets
         if not isinstance(targets, (list, tuple)) or not targets:
             raise DataError(f"schedule_targets must list at least one output, got {targets!r}")
-        if not all(_is_int(t) and 1 <= t <= self.n_channels for t in targets):
-            raise DataError(
-                f"schedule_targets must be integers in 1..{self.n_channels}, got {targets!r}"
-            )
+        targets = tuple(check_integer("schedule_targets", t, 1, DataError) for t in targets)
+        if max(targets) > self.n_channels:
+            raise DataError(f"schedule_targets must be in 1..{self.n_channels}, got {targets!r}")
         if max(self.pulse_count, 1) * self.pulse_period_ps >= 2**63:  # pulse_indices are int64
             raise DataError(
                 f"pulse_count*pulse_period_ps must fit in int64, got "
                 f"{self.pulse_count}*{self.pulse_period_ps}"
             )
-        object.__setattr__(self, "pump_rate_hz", float(rate))
-        object.__setattr__(self, "schedule_targets", tuple(targets))
+        object.__setattr__(self, "schedule_targets", targets)
 
     def to_dict(self) -> dict:
         return {"format": FORMAT_NAME, "format_version": FORMAT_VERSION, **asdict(self)}
@@ -86,7 +81,7 @@ class StreamMeta:
         if doc.get("format") != FORMAT_NAME:
             raise DataError(f"not a {FORMAT_NAME} sidecar: format={doc.get('format')!r}")
         version = doc.get("format_version")
-        if not _is_int(version) or version != FORMAT_VERSION:
+        if check_integer("format_version", version, 1, DataError) != FORMAT_VERSION:
             raise DataError(f"unsupported format_version {version!r}")
         names = [field.name for field in fields(cls)]
         unknown = set(doc) - {"format", "format_version", "n_records", *names}
@@ -96,10 +91,6 @@ class StreamMeta:
             return cls(**{name: doc[name] for name in names})
         except KeyError as exc:
             raise DataError(f"sidecar is missing {exc}") from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class TimeTagStream:
@@ -272,8 +263,7 @@ def read_stream(path) -> TimeTagStream:
         n = doc["n_records"]
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed sidecar {side}: {exc!r}") from None
-    if not _is_int(n) or n < 0:
-        raise DataError(f"n_records must be an integer >= 0, got {n!r}")
+    n = check_integer("n_records", n, 0, DataError)
     meta = StreamMeta.from_dict(doc)
     return TimeTagStream._of_parts(_DataFile(path, n, path.stat().st_mtime_ns), meta)
 

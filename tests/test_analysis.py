@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from contextlib import contextmanager
 
@@ -187,13 +188,14 @@ def test_channels_and_delay_ranges_must_be_integers(bad):
     # (1.5, 2) used to give a histogram labelled channel 1, (1.7, 2) and (True, 2)
     # counted channels (1, 2), and max_delay_bins=True was read as 1
     stream = make_stream([(1, 0), (2, 1)])
-    with pytest.raises(DomainError, match="expected an integer"):
+    message = f"must be an integer >= [01], got {re.escape(repr(bad))}"
+    with pytest.raises(DomainError, match=message):
         pair_histograms(stream, [(bad, 2)], 2)
-    with pytest.raises(DomainError, match="expected an integer"):
+    with pytest.raises(DomainError, match=message):
         pair_histograms(stream, [(1, 2)], bad)
-    with pytest.raises(DomainError, match="expected an integer"):
+    with pytest.raises(DomainError, match=message):
         count_nfold(stream, (bad, 2))
-    with pytest.raises(DomainError, match="expected an integer"):
+    with pytest.raises(DomainError, match=message):
         count_nfold(stream, (2, bad))
 
 
@@ -256,6 +258,17 @@ def test_g2_ratio_validation():
     )
     with pytest.raises(DataError):
         g2_ratio(empty, period_bins=4)
+
+
+def test_g2_ratio_periods_and_peaks_must_be_integers():
+    # period_bins=2.5 used to return (1.0, 1.22) from the +-5 bins alone, and
+    # n_peaks=1.5 raised a bare TypeError
+    hist = CoincidenceHistogram(1, 2, 1.25e-8, np.arange(-12, 13), np.ones(25, dtype=np.int64))
+    with pytest.raises(DomainError, match="period_bins must be an integer >= 1, got 2.5"):
+        g2_ratio(hist, 2.5)
+    with pytest.raises(DomainError, match="n_peaks must be an integer >= 1, got 1.5"):
+        g2_ratio(hist, 4, n_peaks=1.5)
+    assert g2_ratio(hist, np.int64(4), n_peaks=np.int64(3)) == g2_ratio(hist, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -904,6 +917,14 @@ def test_ratio_estimation_recovers_table():
         iterations=fit.iterations,
     )
     assert eta_dm_from_ratios(shuffled, net, sched) == pytest.approx((eta, sigma), rel=1e-12)
+
+
+def test_eta_dm_needs_the_networks_ratio_names():
+    # a fit without them used to raise a bare ValueError from tuple.index
+    powers = np.linspace(60.0, 1500.0, 6)
+    fit = fit_saturation(powers, saturation_model(powers, 70.9, 348.0))
+    with pytest.raises(DomainError, match=r"no ratios named \['sw1:on', 'sw1:off', 'sw2:on'"):
+        eta_dm_from_ratios(fit, balanced_network(4), (1, 2, 3, 4))
 
 
 def test_ratio_estimation_noiseless_is_exact():

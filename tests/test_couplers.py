@@ -1,6 +1,8 @@
 """Coupler transfer function, switch-tree topology, schedules, and routing."""
 
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +79,12 @@ def test_cross_fraction_rejects_bad_geometry():
         cross_fraction(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         cross_fraction(1.0, -1.0, 0.0)
+    # cross_fraction(nan, 1, 0) used to return nan, and an infinite length
+    # raised a bare ValueError from math.sin
+    with pytest.raises(DomainError, match="kappa_per_mm must be finite and > 0, got nan"):
+        cross_fraction(math.nan, 1.0, 0.0)
+    with pytest.raises(DomainError, match="length_mm must be finite and > 0, got inf"):
+        cross_fraction(1.0, math.inf, 0.0)
 
 
 def test_cross_fraction_decreases_along_search_branch():
@@ -134,6 +142,18 @@ def test_balanced_rejects_non_power_of_two():
             balanced_network(bad)
 
 
+@pytest.mark.parametrize("build", [balanced_network, cascade_network])
+def test_topologies_take_integer_output_counts(build):
+    # balanced_network(np.int64(4)) used to fail with "leaf must be an integer
+    # output label, got np.int64(2)"
+    net = build(np.int64(4))
+    assert net.n_outputs == 4
+    assert json.dumps(net.to_dict()) == json.dumps(build(4).to_dict())
+    for bad in (4.0, True, "4"):
+        with pytest.raises(ConfigError, match=f"n_outputs must be an integer >= 2, got {bad!r}"):
+            build(bad)
+
+
 def test_cascade_four_layout():
     net = cascade_network(4)
     assert net.n_outputs == 4
@@ -183,15 +203,16 @@ def test_schedule_subset_and_validation(net4):
     with pytest.raises(ConfigError):
         schedule_for_cycle(net4, targets=(1, 9))
     # a schedule built without the network is checked when it routes, not wrapped to output 4
-    for missing in (0, 5):
-        with pytest.raises(ConfigError, match=f"no output labelled {missing}"):
+    for missing, message in ((0, "must be an integer >= 1, got 0"), (5, "no output labelled 5")):
+        with pytest.raises(ConfigError, match=message):
             routing_by_bin(net4, (1, missing), TABLE_RATIOS)
 
 
 @pytest.mark.parametrize("targets", [[1.7, 2.2, "3"], [1, 2.0], [True, 2], ["3"]])
 def test_schedule_targets_must_be_integers(net4, targets):
     # [1.7, 2.2, "3"] used to become outputs (1, 2, 3)
-    with pytest.raises(ConfigError, match="schedule targets must be integers"):
+    bad = re.escape(repr(next(t for t in targets if type(t) is not int)))
+    with pytest.raises(ConfigError, match=f"schedule target must be an integer >= 1, got {bad}"):
         schedule_for_cycle(net4, targets=targets)
 
 

@@ -24,14 +24,14 @@ PUBLIC = {
     "predict_rates", "read_stream", "routing_by_bin", "s_active",
     "s_active_enumerated", "s_probabilistic", "saturation_brightness",
     "saturation_model", "schedule_for_cycle", "second_photon_probability",
-    "shard_and_merge", "sidecar_path", "simulate", "switching_efficiency",
+    "sidecar_path", "simulate", "switching_efficiency",
     "write_csv", "write_stream",
 }
 
 
 def test_public_surface_is_pinned():
     # a change to the surface must show up as an edit of PUBLIC
-    assert len(PUBLIC) == 57
+    assert len(PUBLIC) == 56
     assert len(demuxsim.__all__) == len(set(demuxsim.__all__))
     assert set(demuxsim.__all__) == PUBLIC
     for name in demuxsim.__all__:

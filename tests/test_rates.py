@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,14 +120,48 @@ def test_out_of_range_parameters_are_refused(build):
         lambda bad: n_fold_rate(2, bad, 0.5, 0.5, 0.25),
         lambda bad: saturation_brightness(bad, 1.0, 0.5),
         lambda bad: saturation_brightness(1.0, bad, 0.5),
+        lambda bad: LossBudget(propagation_db_per_cm=bad),
+        lambda bad: LossBudget(device_length_cm=bad),
     ],
-    ids=["emitter-pump-rate", "emitter-saturation-power", "n-fold-pump-rate", "power", "p0"],
+    ids=[
+        "emitter-pump-rate", "emitter-saturation-power", "n-fold-pump-rate", "power", "p0",
+        "propagation-loss", "device-length",
+    ],
 )
 def test_non_finite_rate_inputs_are_refused(build, bad):
     # NaN used to pass every "<= 0" check and come out as a rate of nan; an
-    # infinite saturation power gave a brightness of 0
+    # infinite saturation power gave a brightness of 0, and a NaN or infinite
+    # loss built a budget that simulate died on with a bare ValueError
     with pytest.raises(DomainError, match="finite"):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: s_active(2.5, 0.8),
+        lambda: s_active(True, 0.8),
+        lambda: s_active_enumerated(3.0, 0.8),
+        lambda: s_probabilistic(2.5),
+        lambda: n_fold_rate(2.5, 8e7, 0.5, 0.5, 0.25),
+        lambda: predict_rates(resonant_qd_config(), [2.5]),
+        lambda: crossover_n(resonant_qd_config(), 3.5),
+    ],
+    ids=["s-active", "s-active-bool", "enumerated", "probabilistic", "n-fold", "predict", "crossover"],
+)
+def test_photon_numbers_must_be_integers(build):
+    # s_active(2.5, 0.8) used to return 0.2329 and s_active(True, 0.8) 1.0, and
+    # predict_rates gave rates for n = 2.5; s_active_enumerated(3.0, 0.8) and
+    # crossover_n(config, 3.5) raised a bare TypeError
+    with pytest.raises(DomainError, match=r"must be an integer >= 1, got (2\.5|True|3\.0|3\.5)"):
+        build()
+
+
+def test_numpy_photon_numbers_are_stored_as_ints():
+    predictions = predict_rates(resonant_qd_config(), np.arange(1, 4))
+    assert [(type(p.n), p.n) for p in predictions[::2]] == [(int, 1), (int, 2), (int, 3)]
+    assert s_active(np.int64(3), 0.8) == s_active(3, 0.8)
+    assert crossover_n(resonant_qd_config(), np.int64(10)) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from demuxsim import (
     routing_by_bin,
     schedule_for_cycle,
     second_photon_probability,
-    shard_and_merge,
     sidecar_path,
     simulate,
     write_stream,
@@ -63,6 +62,9 @@ def test_second_photon_probability_domain():
         second_photon_probability(0.5, 1.0)
     with pytest.raises(DomainError):
         second_photon_probability(0.5, -0.1)
+    # a NaN emission probability used to come out as a NaN second-photon one
+    with pytest.raises(DomainError, match=r"p1 must lie in \[0, 1\], got nan"):
+        second_photon_probability(math.nan, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def test_repeated_runs_are_identical():
 @pytest.mark.parametrize("shards", [2, 3, 7])
 def test_sharding_reproduces_single_shot(shards):
     cfg = make_bright_sim(brightness=0.3, pulses=200_001, seed=77)
-    assert shard_and_merge(cfg, shards) == simulate(cfg)
+    assert simulate(cfg, shards=shards) == simulate(cfg)
 
 
 def _layout_probe() -> SimConfig:
@@ -211,7 +213,7 @@ def _layout_probe() -> SimConfig:
 
 def test_draw_layout_is_pinned():
     # digests of draw layout 1; shard edges fall mid-block
-    stream = shard_and_merge(_layout_probe(), 3)
+    stream = simulate(_layout_probe(), shards=3)
     assert len(stream) == 58_500
     assert hashlib.sha256(stream.channels.tobytes()).hexdigest() == (
         "4a8f853dde9ddec4ec4ba3e5a6c6d2f57d4fbed02e6d0ae4e6497fde77190e93"
@@ -228,13 +230,27 @@ def test_output_does_not_depend_on_worker_count(monkeypatch, workers):
     reference = simulate(cfg)
     monkeypatch.setattr(module, "_WORKERS", workers)
     assert simulate(cfg) == reference
-    assert shard_and_merge(cfg, 2) == reference
+    assert simulate(cfg, shards=2) == reference
 
 
 def test_shard_count_validated():
     cfg = make_bright_sim(brightness=0.3, pulses=10, seed=77)
     with pytest.raises(ConfigError):
-        shard_and_merge(cfg, 0)
+        simulate(cfg, shards=0)
+    # 2.5 shards used to raise a bare TypeError from np.linspace
+    with pytest.raises(ConfigError, match="shards must be an integer >= 1, got 2.5"):
+        simulate(cfg, shards=2.5)
+    assert simulate(cfg, shards=np.int64(2)) == simulate(cfg)
+
+
+def test_numpy_run_counts_are_stored_as_ints():
+    cfg = replace(
+        make_bright_sim(brightness=0.3, pulses=10, seed=77),
+        pulse_count=np.int64(10),
+        rng_seed=np.uint32(77),
+    )
+    assert (type(cfg.pulse_count), type(cfg.rng_seed)) == (int, int)
+    assert cfg.pulse_count == 10 and cfg.rng_seed == 77
 
 
 def test_draws_do_not_depend_on_routing():
@@ -251,7 +267,7 @@ def test_empty_run():
     cfg = make_bright_sim(brightness=0.3, pulses=0, seed=1)
     stream = simulate(cfg)
     assert len(stream) == 0
-    assert shard_and_merge(cfg, 4) == stream
+    assert simulate(cfg, shards=4) == stream
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,17 @@ def test_stream_meta_impossible_values_are_data_errors(field, value):
         StreamMeta(**fields)
 
 
+def test_stream_meta_stores_numpy_counts_as_python_ints():
+    # numpy integers used to be refused; stored as given they would not serialise
+    numpy_counts = {
+        "pulse_count": np.int64(1000),
+        "n_channels": np.int32(4),
+        "schedule_targets": [np.int64(t) for t in (1, 2, 3, 4)],
+    }
+    meta = StreamMeta(**{**dataclasses.asdict(make_meta()), **numpy_counts})
+    assert json.dumps(meta.to_dict()) == json.dumps(make_meta().to_dict())
+
+
 def test_sidecar_needs_a_scheduled_bin(tmp_path):
     path = tmp_path / "run.tags"
     write_stream(make_stream([]), path)
