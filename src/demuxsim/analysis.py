@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .couplers import (
     DemuxNetwork,
@@ -472,7 +471,9 @@ def _deviance(m: np.ndarray, y: np.ndarray):
     the maximum-likelihood fit (Baker & Cousins, Nucl. Instrum. Meth. 221, 437
     (1984)); dr/dm = (m - y) / (m r), with its limit 1/sqrt(m) where r = 0.
     """
-    r = np.sign(m - y) * np.sqrt(2.0 * np.maximum(m - y + xlogy(y, y / m), 0.0))
+    # y ln(y/m), 0 where y = 0
+    log_term = y * np.log(np.divide(y, m, out=np.ones_like(m), where=y > 0))
+    r = np.sign(m - y) * np.sqrt(2.0 * np.maximum(m - y + log_term, 0.0))
     return r, np.divide(m - y, m * r, out=1.0 / np.sqrt(m), where=r != 0)
 
 

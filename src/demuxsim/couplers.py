@@ -281,10 +281,11 @@ def channel_delay_bins(targets: Sequence[int], channels: Sequence[int]) -> tuple
     """Per-channel alignment delay: the first bin in which the schedule targets it.
 
     targets is a schedule's per-bin target channels (from schedule_for_cycle
-    or a stream's StreamMeta.schedule_targets).
+    or a stream's StreamMeta.schedule_targets).  Channels are integers >= 1.
     """
     delays = []
     for ch in channels:
+        check_integer("channel", ch, 1)
         try:
             delays.append(targets.index(ch))
         except ValueError:

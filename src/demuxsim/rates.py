@@ -211,9 +211,10 @@ def compose_transmission(budget: LossBudget) -> float:
 
 
 def saturation_brightness(pump_power_uw: float, p0_uw: float, max_value: float) -> float:
-    """Saturating brightness max_value * (1 - exp(-P/P0))."""
+    """Saturating brightness max_value * (1 - exp(-P/P0)); max_value lies in [0, 1]."""
     check_non_negative("pump_power_uw", pump_power_uw)
     check_positive("p0_uw", p0_uw)
+    check_unit_interval("max_value", max_value)
     return max_value * (1.0 - math.exp(-pump_power_uw / p0_uw))
 
 

@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.random import Philox, SeedSequence
 
 from .couplers import DemuxNetwork, RatioTable, routing_by_bin, schedule_for_cycle
 from .errors import ConfigError, DomainError, check_integer, check_non_negative, check_unit_interval
@@ -184,27 +185,33 @@ def _simulate_range(config: SimConfig, start: int, stop: int) -> list:
     # is 1 and no uniform reaches it, so channel - 1 counts the edges passed
     edges = _raw_edges(np.ascontiguousarray(cum[:, :-1].T))
 
+    def draw_hits(bitgen, lo: int, hi: int, row: int) -> list:
+        """Per photon, the surviving hits among block rows [row, row + _CHUNK_ROWS)
+        that fall in [lo, hi): pulse offsets and the top 53 bits of their route draws.
+
+        The chunk's draw buffer is freed on return, before the next chunk is
+        drawn, so a worker holds one buffer at a time.
+        """
+        # consecutive fills yield the rows of one random_raw((BLOCK_PULSES, 6)) draw
+        u = bitgen.random_raw((_CHUNK_ROWS, _DRAWS_PER_PULSE))[max(lo - row, 0) : hi - row]
+        offset = max(lo, row)
+        hits = []
+        for col, limit in zip((0, 3), limits):
+            at = np.arange(len(u)) if limit is None else np.flatnonzero(u[:, col] < limit)
+            if survive is not None:
+                at = at[u[at, col + 2] < survive]
+            hits.append((at + offset, u[at, col + 1] >> np.uint64(11)))
+        return hits
+
     def run_block(block: int):
         first = block * BLOCK_PULSES
         lo = max(start - first, 0)
         hi = min(stop - first, BLOCK_PULSES)
-        bitgen = np.random.Philox(seed=np.random.SeedSequence((config.rng_seed, block)))
-        hits = [([], []), ([], [])]  # per photon: pulse offsets, top 53 bits of route draws
-        for row in range(0, hi, _CHUNK_ROWS):
-            # consecutive fills yield the rows of one random_raw((BLOCK_PULSES, 6)) draw
-            u = bitgen.random_raw((_CHUNK_ROWS, _DRAWS_PER_PULSE))[max(lo - row, 0) : hi - row]
-            offset = max(lo, row)
-            for col, limit, (pulses, routes) in zip((0, 3), limits, hits):
-                at = np.arange(len(u)) if limit is None else np.flatnonzero(u[:, col] < limit)
-                if survive is not None:
-                    at = at[u[at, col + 2] < survive]
-                pulses.append(at + offset)
-                routes.append(u[at, col + 1] >> np.uint64(11))
-
+        bitgen = Philox(seed=SeedSequence((config.rng_seed, block)))
+        chunks = [draw_hits(bitgen, lo, hi, row) for row in range(0, hi, _CHUNK_ROWS)]
         keys = []
-        for pulses, routes in hits:
-            pulse = np.concatenate(pulses)
-            route = np.concatenate(routes)
+        for photon in zip(*chunks):  # one photon's (offsets, routes) from each chunk
+            pulse, route = map(np.concatenate, zip(*photon))
             bins = (pulse + first) % period
             key = pulse * n_out  # sort key offset * n + channel - 1
             for edge in edges:

@@ -438,6 +438,15 @@ def test_physical_scaling_matched_period(net4, table):
         )
 
 
+@pytest.mark.parametrize("bad", [1.0, True, np.float64(2.0)])
+def test_channels_follow_the_integer_rule(net4, sched4, table, bad):
+    # 1.0 used to raise a bare IndexError and True counted as channel 1
+    with pytest.raises(DomainError, match="channel must be an integer >= 1"):
+        channel_delay_bins(sched4, (bad,))
+    with pytest.raises(DomainError, match="channel must be an integer >= 1"):
+        physical_nfold_scaling(net4, sched4, table, (bad, 3))
+
+
 @given(ratio_lists)
 def test_full_cycle_single_channel_scaling_is_mean_occupancy(ratios):
     # with one channel the scaling factor is that channel's cycle-mean routing

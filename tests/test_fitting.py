@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import curve_fit
 
 from demuxsim import (
@@ -144,6 +144,7 @@ def test_result_accessors():
     extra_rows=st.integers(1, 15),
     analytic=st.booleans(),
 )
+@example(seed=19553, n_params=1, extra_rows=1, analytic=False)
 def test_linear_problems_match_lstsq(seed, n_params, extra_rows, analytic):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_params + extra_rows, n_params))

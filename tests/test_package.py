@@ -1,6 +1,8 @@
 """The package's public surface and its declared requirements."""
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +90,50 @@ def test_numpy_floor_has_bitwise_count():
     requires = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert "numpy>=2.0" in requires
     assert hasattr(np, "bitwise_count")
+
+
+_PIPELINE = """
+import sys
+from pathlib import Path
+
+root, work, package_dir = map(Path, sys.argv[1:])
+sys.path.insert(0, str(package_dir))  # the demuxsim under test
+import demuxsim
+from demuxsim import cli
+
+config, stream = str(root / "configs" / "device.yaml"), str(work / "run.tags")
+powers = [60.0 * k for k in range(1, 13)]
+rates = demuxsim.saturation_model(powers, 70.9, 348.0)
+rows = "".join(f"{p},{r}\\n" for p, r in zip(powers, rates))
+(work / "sat.csv").write_text("power_uw,rate_hz\\n" + rows)
+analyze = ["analyze", "--config", config, "--stream", stream, "--out-dir", str(work), "--which"]
+calls = [
+    ["simulate", "--config", config, "--out", stream, "--pulses", "4000000", "--seed", "3"],
+    [*analyze, "ratios", "--pairs", "all"],
+    [*analyze, "nfold"],
+    ["fit-saturation", "--data", str(work / "sat.csv"), "--out-dir", str(work)],
+    ["predict", "--config", str(root / "configs" / "predict_fiber_qd.yaml")],
+]
+codes = [cli.main(argv) for argv in calls]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+def test_runtime_dependencies_are_numpy_and_pyyaml():
+    # scipy is a test dependency only: its import cost about 0.36 s and 50 MB
+    # in every process, and every fit is numpy
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    requires = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [req.split(">=")[0] for req in requires] == ["numpy", "PyYAML"]
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # a fresh interpreter runs each subcommand and then lists the scipy modules it loaded
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _PIPELINE, root, tmp_path, Path(demuxsim.__file__).parents[1]],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0] []"

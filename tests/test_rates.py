@@ -111,6 +111,13 @@ def test_out_of_range_parameters_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 7.0, -0.1])
+def test_saturation_ceiling_is_a_probability(bad):
+    # a NaN ceiling used to return nan, and 7.0 a "brightness" of 4.42
+    with pytest.raises(DomainError, match=r"max_value must lie in \[0, 1\]"):
+        saturation_brightness(1.0, 1.0, bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize(
     "build",
