@@ -124,9 +124,11 @@ def pair_histograms(
 
 
 # bitset words per block of the popcount loops: the k*k AND products of a
-# block (512 KB for four channels) stay in cache, and a block's popcounts fit
-# the uint32 sums
-_BLOCK_WORDS = 1 << 12
+# block (128 KiB for four channels, 512 KiB for eight) stay in cache, and a
+# block's popcounts fit the uint32 sums.  Of 2^9 to 2^12, 2^10 ran the pair
+# kernels fastest at eight channels; at four, 2^12 ran about 12% faster but
+# doubled the pass's working memory
+_BLOCK_WORDS = 1 << 10
 
 # word operations that cost as much as one gather of the neighbour walk: on
 # random streams of 1e6 pulses, 4, 8 or 16 channels and delays of +-12 or

@@ -752,6 +752,15 @@ def test_dense_analysis_holds_no_whole_stream_array():
     assert nfold.count == np.sum(fires[:-3, 0] & fires[1:-2, 1] & fires[2:-1, 2] & fires[3:, 3])
 
 
+def test_dense_passes_keep_a_cache_sized_working_set():
+    # a chunk's int64 column and a four-channel block of k*k bitset products
+    # are 128 KiB each, so neither pass needs a MiB of working memory
+    stream = dense_stream(500_000, 4, 0.5, seed=2)
+    pairs = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    assert memory_peak(lambda: pair_histograms(stream, pairs, 12)) < 1 << 20
+    assert memory_peak(lambda: count_nfold(stream, (1, 2, 3, 4))) < 1 << 20
+
+
 def off_grid_stream():
     # two records per channel, 1 ps apart: the same pulse, but not one record
     return TimeTagStream(

@@ -249,7 +249,11 @@ def test_acquisition_time_of_a_zero_pulse_stream_is_refused():
     [
         ([(1, 0), (2, 5000)], 1000, 5000),
         ([(1, 0), (2, 1000)], 1000, 1000),  # pulse_count itself is past the run
-        ([(1, p) for p in range(tags._CHUNK_RECORDS + 1)], tags._CHUNK_RECORDS, 65536),
+        (
+            [(1, p) for p in range(tags._CHUNK_RECORDS + 1)],
+            tags._CHUNK_RECORDS,
+            tags._CHUNK_RECORDS,
+        ),
     ],
     ids=["far-past", "at-pulse-count", "in-a-later-chunk"],
 )
