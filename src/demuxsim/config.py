@@ -103,9 +103,13 @@ def _number(doc: dict, key: str, where: str) -> float:
     value = doc[key]  # every caller has checked that the key is present
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past float range
+        raise ConfigError(f"{where}.{key} is too large for a float") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(doc: dict, key: str, where: str, minimum: int) -> int:

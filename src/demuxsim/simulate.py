@@ -167,13 +167,18 @@ class _Blocks:
             yield channels, stamps
 
 
-def _simulate_range(config: SimConfig, start: int, stop: int) -> list:
-    """Simulate pulses [start, stop); returns the _Blocks entry of each grid block.
+def simulate(config: SimConfig, shards: int = 1) -> TimeTagStream:
+    """Simulate in contiguous pulse shards and chain their blocks; any shard count, one stream.
 
-    Grid blocks are independent, so they run on a thread pool (NumPy's fills
-    and ufuncs release the GIL) and are gathered in block order.  Each draw is
-    a raw Philox u64 compared as the uniform Generator.random would make of it.
+    The shard cuts split the run into (block, lo, hi) pieces, one per grid
+    block a shard touches; a cut inside a block splits it into two pieces,
+    which draw the block's rows alike.  Pieces are independent, so one thread
+    pool runs them all (NumPy's fills and ufuncs release the GIL) and gathers
+    them in order.  Each draw is a raw Philox u64 compared as the uniform
+    Generator.random would make of it.
     """
+    shards = check_integer("shards", shards, 1, ConfigError)
+    meta = config.stream_meta()  # refuses a run its sidecar cannot hold before any draw
     p1 = config.emission_probability()
     limits = [_raw_below(p) for p in (p1, second_photon_probability(p1, config.emitter.g2_zero))]
     survive = _raw_below(config.transmission() * config.eta_det)
@@ -185,57 +190,40 @@ def _simulate_range(config: SimConfig, start: int, stop: int) -> list:
     # is 1 and no uniform reaches it, so channel - 1 counts the edges passed
     edges = _raw_edges(np.ascontiguousarray(cum[:, :-1].T))
 
-    def draw_hits(bitgen, lo: int, hi: int, row: int) -> list:
-        """Per photon, the surviving hits among block rows [row, row + _CHUNK_ROWS)
-        that fall in [lo, hi): pulse offsets and the top 53 bits of their route draws.
-
-        The chunk's draw buffer is freed on return, before the next chunk is
-        drawn, so a worker holds one buffer at a time.
-        """
-        # consecutive fills yield the rows of one random_raw((BLOCK_PULSES, 6)) draw
-        u = bitgen.random_raw((_CHUNK_ROWS, _DRAWS_PER_PULSE))[max(lo - row, 0) : hi - row]
-        offset = max(lo, row)
-        hits = []
-        for col, limit in zip((0, 3), limits):
-            at = np.arange(len(u)) if limit is None else np.flatnonzero(u[:, col] < limit)
-            if survive is not None:
-                at = at[u[at, col + 2] < survive]
-            hits.append((at + offset, u[at, col + 1] >> np.uint64(11)))
-        return hits
-
-    def run_block(block: int):
+    def build(piece: tuple[int, int, int]):
+        """The _Blocks entry of block rows [lo, hi)."""
+        block, lo, hi = piece
         first = block * BLOCK_PULSES
-        lo = max(start - first, 0)
-        hi = min(stop - first, BLOCK_PULSES)
         bitgen = Philox(seed=SeedSequence((config.rng_seed, block)))
-        chunks = [draw_hits(bitgen, lo, hi, row) for row in range(0, hi, _CHUNK_ROWS)]
-        keys = []
-        for photon in zip(*chunks):  # one photon's (offsets, routes) from each chunk
-            pulse, route = map(np.concatenate, zip(*photon))
-            bins = (pulse + first) % period
-            key = pulse * n_out  # sort key offset * n + channel - 1
-            for edge in edges:
-                key += route >= edge[bins]
-            keys.append(key)
-        # merge the two sorted runs; a double hit on one channel is one click
-        key = np.sort(np.concatenate(keys), kind="stable")
+        hits = ([], [])  # per photon, the (pulse offsets, route draws) of each fill
+        for row in range(0, hi, _CHUNK_ROWS):
+            # consecutive fills yield the rows of one random_raw((BLOCK_PULSES, 6)) draw
+            u = bitgen.random_raw((_CHUNK_ROWS, _DRAWS_PER_PULSE))[max(lo - row, 0) : hi - row]
+            for photon, col, limit in zip(hits, (0, 3), limits):
+                at = np.arange(len(u)) if limit is None else np.flatnonzero(u[:, col] < limit)
+                if survive is not None:
+                    at = at[u[at, col + 2] < survive]
+                photon.append((at + max(lo, row), u[at, col + 1] >> np.uint64(11)))
+            del u  # one draw buffer at a time
+        # the primary photon's hits, then the second's: two sorted runs of keys
+        pulse, route = map(np.concatenate, zip(*hits[0], *hits[1]))
+        key = pulse * n_out  # sort key offset * n + channel - 1
+        bins = (pulse + first) % period
+        for edge in edges:
+            key += route >= edge[bins]
+        # merge the two runs; a double hit on one channel is one click
+        key = np.sort(key, kind="stable")
         keep = np.ones(len(key), bool)
         keep[1:] = key[1:] != key[:-1]
         offsets, channels = np.divmod(key[keep], n_out)
         return first, offsets.astype(np.uint16), channels.astype(channel_type)
 
-    blocks = range(start // BLOCK_PULSES, -(-stop // BLOCK_PULSES))
-    workers = min(_WORKERS, len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(run_block, blocks))
-    return [run_block(block) for block in blocks]
-
-
-def simulate(config: SimConfig, shards: int = 1) -> TimeTagStream:
-    """Simulate in contiguous pulse shards and chain their blocks; any shard count, one stream."""
-    shards = check_integer("shards", shards, 1, ConfigError)
-    edges = np.linspace(0, config.pulse_count, shards + 1).astype(np.int64)
-    ranges = zip(edges[:-1].tolist(), edges[1:].tolist())
-    blocks = [block for lo, hi in ranges for block in _simulate_range(config, lo, hi)]
-    return TimeTagStream._of_parts(_Blocks(blocks, config.pulse_period_ps()), config.stream_meta())
+    cuts = np.linspace(0, config.pulse_count, shards + 1).astype(np.int64).tolist()
+    pieces = [
+        (block, max(lo - block * BLOCK_PULSES, 0), min(hi - block * BLOCK_PULSES, BLOCK_PULSES))
+        for lo, hi in zip(cuts, cuts[1:])
+        for block in range(lo // BLOCK_PULSES, -(-hi // BLOCK_PULSES))
+    ]
+    with ThreadPoolExecutor(max(min(_WORKERS, len(pieces)), 1)) as pool:
+        blocks = list(pool.map(build, pieces))
+    return TimeTagStream._of_parts(_Blocks(blocks, config.pulse_period_ps()), meta)

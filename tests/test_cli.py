@@ -343,6 +343,19 @@ def test_exit_code_integral_float_count(tmp_path):
     assert not (tmp_path / "run.tags").exists()
 
 
+@pytest.mark.parametrize(
+    "old, key",
+    [("saturation_power_uw: 1.0", "emitter.saturation_power_uw"), ("on: 0.87", "couplers.sw1.on")],
+    ids=["emitter", "coupler-ratio"],
+)
+def test_exit_code_number_past_float_range(tmp_path, capsys, old, key):
+    # an integer too large for a float used to end predict with an OverflowError traceback
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(BRIGHT_YAML.replace(old, f"{old.split(':')[0]}: {10**400}"))
+    assert run(["predict", "--config", bad]) == 2
+    assert f"{key} is too large for a float" in capsys.readouterr().err
+
+
 def test_exit_code_custom_network_root_not_a_node(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     network = "  topology: balanced\n  outputs: 4\n"

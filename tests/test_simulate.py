@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from demuxsim import (
     ConfigError,
+    DataError,
     DomainError,
     EmitterParams,
     LossBudget,
@@ -27,7 +28,7 @@ from demuxsim import (
     write_stream,
 )
 
-from demuxsim.simulate import _raw_below, _raw_edges
+from demuxsim.simulate import BLOCK_PULSES, _CHUNK_ROWS, _raw_below, _raw_edges
 
 from conftest import TABLE_RATIOS, make_bright_sim, make_device_budget
 
@@ -185,9 +186,23 @@ def test_repeated_runs_are_identical():
     assert simulate(cfg) != simulate(replace(cfg, rng_seed=124))
 
 
-@pytest.mark.parametrize("shards", [2, 3, 7])
-def test_sharding_reproduces_single_shot(shards):
-    cfg = make_bright_sim(brightness=0.3, pulses=200_001, seed=77)
+# every shard cut falls at a pulse count, so a cut on a draw-chunk or block
+# boundary, or one row either side of a chunk boundary, tests the piece slicing
+ROW_CUT = BLOCK_PULSES + _CHUNK_ROWS  # a chunk boundary inside block 1
+
+
+@pytest.mark.parametrize(
+    "shards, pulses",
+    [
+        *(pytest.param(shards, 200_001, id=str(shards)) for shards in (2, 3, 7)),
+        pytest.param(2, 2 * ROW_CUT, id="cut-on-chunk-edge"),
+        pytest.param(2, 2 * (ROW_CUT - 1), id="cut-a-row-before-chunk-edge"),
+        pytest.param(2, 2 * (ROW_CUT + 1), id="cut-a-row-after-chunk-edge"),
+        pytest.param(3, 3 * BLOCK_PULSES, id="cuts-on-block-edges"),
+    ],
+)
+def test_sharding_reproduces_single_shot(shards, pulses):
+    cfg = make_bright_sim(brightness=0.3, pulses=pulses, seed=77)
     assert simulate(cfg, shards=shards) == simulate(cfg)
 
 
@@ -231,6 +246,11 @@ def test_output_does_not_depend_on_worker_count(monkeypatch, workers):
     monkeypatch.setattr(module, "_WORKERS", workers)
     assert simulate(cfg) == reference
     assert simulate(cfg, shards=2) == reference
+    # a run inside one block is one piece: its records are the long run's first ones
+    short = simulate(replace(cfg, pulse_count=BLOCK_PULSES // 3))
+    head = reference.pulse_indices < BLOCK_PULSES // 3
+    assert np.array_equal(short.channels, reference.channels[head])
+    assert np.array_equal(short.timestamps_ps, reference.timestamps_ps[head])
 
 
 def test_shard_count_validated():
@@ -261,6 +281,18 @@ def test_draws_do_not_depend_on_routing():
         cfg = make_bright_sim(brightness=0.25, pulses=120_000, seed=2024, targets=targets)
         counts.append(len(simulate(cfg)))
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_a_run_its_sidecar_cannot_hold_is_refused_before_any_draw(monkeypatch):
+    # 1e7 pulses 1e12 ps apart overflow int64 timestamps; every block used to be drawn first
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulate drew pulses for a run it refuses")
+
+    monkeypatch.setattr(importlib.import_module("demuxsim.simulate"), "Philox", no_draws)
+    cfg = make_bright_sim(brightness=0.3, pulses=10_000_000, seed=1)
+    cfg = replace(cfg, emitter=replace(cfg.emitter, pump_rate_hz=1.0))
+    with pytest.raises(DataError, match="must fit in int64"):
+        simulate(cfg)
 
 
 def test_empty_run():
