@@ -132,9 +132,12 @@ _BLOCK_WORDS = 1 << 10
 
 # word operations that cost as much as one gather of the neighbour walk: on
 # random streams of 1e6 pulses, 4, 8 or 16 channels and delays of +-12 or
-# +-64, the two kernels took equal times where the bitset kernel's modelled
-# work was 8 to 13 times the neighbour walk's
-_GATHER_COST = 10.0
+# +-64, with 1,024-word blocks, the two kernels took equal times where the
+# bitset kernel's modelled work was 5.1 (4 channels, +-64) to 11.2 times the
+# neighbour walk's (7.0 to 13.8 with 4,096-word blocks); 7.5 is the middle of
+# that range on a log scale: on those streams the kernel it picks ran at most
+# about 1.3 times as long as the other (at 10.0, up to 1.7 times)
+_GATHER_COST = 7.5
 
 
 def _check_channels(stream: TimeTagStream, channels: Sequence[int]) -> None:

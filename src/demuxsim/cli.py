@@ -63,11 +63,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def cmd_predict(args) -> int:
     rc = load_config(args.config)
-    pred_config = rc.prediction_config()
-    if args.include_detectors:
-        pred_config = dataclasses.replace(pred_config, include_detectors=True)
-    n_max = args.n_max if args.n_max is not None else rc.prediction_n_max()
-    # crossover_n refuses n_max < 1, so it runs before anything is written
+    pred_config, n_max = rc.prediction_config(), rc.prediction_n_max()
     cross = crossover_n(pred_config, n_max=n_max)
     predictions = predict_rates(pred_config, range(1, n_max + 1))
     lines = ["n,scheme,rate_hz"]
@@ -168,7 +164,10 @@ def _analyze_histograms(rc, streams, args, out_dir: Path) -> int:
 
 def _analyze_nfold(rc, streams, args, out_dir: Path) -> int:
     stream = streams[0]
-    channels = _parse_channels(args.channels) if args.channels else stream.meta.schedule_targets
+    if args.channels:
+        channels = _parse_channels(args.channels)
+    else:  # each target once, in the order of its first bin, by which count_nfold aligns it
+        channels = tuple(dict.fromkeys(stream.meta.schedule_targets))
     result = analysis.count_nfold(stream, channels)
     doc = {**dataclasses.asdict(result), "rate_hz": result.rate_hz, "sigma_hz": result.sigma_hz}
     path = out_dir / ("nfold_" + "_".join(str(c) for c in channels) + ".json")
@@ -293,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="closed-form n-fold rate predictions")
     p.add_argument("--config", required=True)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--include-detectors", action="store_true")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_predict)
 

@@ -135,7 +135,7 @@ class RunConfig:
         self.schedule = self._build_schedule()
         self.budget = self._build_budget()
         self.eta_det = self._build_detector()
-        self._validate_couplers_cover_network()
+        self._validate_couplers_match_network()
         # simulation and prediction are optional, but a document with a typo
         # or an out-of-range value must not load cleanly, so both are built here
         self._simulation = self._build_simulation()
@@ -246,10 +246,14 @@ class RunConfig:
         eta = _number(sec, "efficiency", "detectors")
         return check_unit_interval("detectors.efficiency", eta, ConfigError)
 
-    def _validate_couplers_cover_network(self) -> None:
+    def _validate_couplers_match_network(self) -> None:
         missing = [cid for cid in self.network.coupler_ids if cid not in self.couplers]
         if missing:
             raise ConfigError(f"couplers section lacks ratios for {missing!r}")
+        # an extra id would enter the device digest, so two files of one device would differ
+        extra = [cid for cid in self.couplers if cid not in self.network.coupler_ids]
+        if extra:
+            raise ConfigError(f"couplers section names {extra!r}, which the network lacks")
 
     def _build_simulation(self) -> SimConfig | None:
         sec = self.doc.get("simulation")

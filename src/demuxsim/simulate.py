@@ -90,6 +90,10 @@ class SimConfig:
             object.__setattr__(self, key, check_integer(key, getattr(self, key), 0, ConfigError))
         check_unit_interval("eta_det", self.eta_det)
         check_non_negative("pump_power_uw", self.pump_power_uw)
+        if self.pulse_period_ps() < 1:  # a rate past 2 THz rounds to a period of 0 ps
+            raise ConfigError(
+                f"pump_rate_hz={self.emitter.pump_rate_hz!r} gives a pulse period below 1 ps"
+            )
 
     def resolved_pulse_count(self) -> int:
         return self.pulse_count

@@ -65,7 +65,7 @@ class StreamMeta:
         targets = tuple(check_integer("schedule_targets", t, 1, DataError) for t in targets)
         if max(targets) > self.n_channels:
             raise DataError(f"schedule_targets must be in 1..{self.n_channels}, got {targets!r}")
-        if max(self.pulse_count, 1) * self.pulse_period_ps >= 2**63:  # pulse_indices are int64
+        if max(self.pulse_count, 1) * self.pulse_period_ps >= 2**63:  # pulse indices are int64
             raise DataError(
                 f"pulse_count*pulse_period_ps must fit in int64, got "
                 f"{self.pulse_count}*{self.pulse_period_ps}"
@@ -97,8 +97,7 @@ class TimeTagStream:
     """Detection events sorted by timestamp, ties broken by channel.
 
     The records are (channels, timestamps_ps) column parts, held in memory or
-    in a data file and read through chunks().  The whole columns .channels,
-    .timestamps_ps and .pulse_indices are for tests: each holds every record.
+    in a data file and read through chunks() alone.
     """
 
     def __init__(self, channels: np.ndarray, timestamps_ps: np.ndarray, meta: StreamMeta):
@@ -141,32 +140,8 @@ class TimeTagStream:
                 rows = slice(start, start + _CHUNK_RECORDS)
                 yield channels[rows], stamps[rows]
 
-    def _column(self, which: int, dtype) -> np.ndarray:
-        return np.concatenate([np.empty(0, dtype), *(chunk[which] for chunk in self.chunks())])
-
-    @property
-    def channels(self) -> np.ndarray:
-        return self._column(0, np.uint32)
-
-    @property
-    def timestamps_ps(self) -> np.ndarray:
-        return self._column(1, np.uint64)
-
-    @property
-    def pulse_indices(self) -> np.ndarray:
-        # a view: the values astype(np.int64) gives, without a second copy of every record
-        return (self.timestamps_ps // np.uint64(self.meta.pulse_period_ps)).view(np.int64)
-
     def __len__(self) -> int:
         return self._len
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeTagStream):
-            return NotImplemented
-        return self.meta == other.meta and all(
-            np.array_equal(self._column(i, dtype), other._column(i, dtype))
-            for i, dtype in enumerate((np.uint32, np.uint64))
-        )
 
     @property
     def acquisition_s(self) -> float:

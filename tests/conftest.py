@@ -51,6 +51,21 @@ def make_device_budget() -> LossBudget:
     )
 
 
+def columns(stream):
+    """A stream's whole columns, read through chunks(): channels u32, timestamps_ps u64
+    and pulse indices int64, each holding every record."""
+    chunks = list(stream.chunks())
+    channels = np.concatenate([np.empty(0, np.uint32), *(c for c, _ in chunks)])
+    stamps = np.concatenate([np.empty(0, np.uint64), *(t for _, t in chunks)])
+    pulses = (stamps // np.uint64(stream.meta.pulse_period_ps)).view(np.int64)
+    return channels, stamps, pulses
+
+
+def same_stream(a, b) -> bool:
+    """Stream equality: the same meta and the same records."""
+    return a.meta == b.meta and all(map(np.array_equal, columns(a)[:2], columns(b)[:2]))
+
+
 def make_bright_sim(
     *,
     brightness: float,

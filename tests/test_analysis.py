@@ -43,6 +43,7 @@ from demuxsim.analysis import CoincidenceHistogram
 from conftest import (
     ETA_DM_TABLE,
     TABLE_RATIOS,
+    columns,
     drive_states,
     fractions_with_ends,
     path_walk,
@@ -535,7 +536,7 @@ def split_records(draw):
 def test_parts_file_and_whole_array_streams_agree(tmp_path_factory, case):
     events, cuts, chunk = case
     whole = make_stream([(ch, p) for p, ch in events])
-    channels, stamps = whole.channels, whole.timestamps_ps
+    channels, stamps, _ = columns(whole)
     edges = [0, *cuts, len(events)]
     parts = TimeTagStream._of_parts(
         [(channels[a:b], stamps[a:b]) for a, b in zip(edges[:-1], edges[1:])], whole.meta
@@ -747,8 +748,9 @@ def test_dense_analysis_holds_no_whole_stream_array():
     with kernel("sparse"):
         for hist, ref in zip(hists, pair_histograms(stream, pairs, 12)):
             np.testing.assert_array_equal(hist.counts, ref.counts)
+    channels, _, pulses = columns(stream)
     fires = np.zeros((500_000 + 3, 4), dtype=bool)
-    fires[stream.pulse_indices, stream.channels - 1] = True
+    fires[pulses, channels - 1] = True
     assert nfold.count == np.sum(fires[:-3, 0] & fires[1:-2, 1] & fires[2:-1, 2] & fires[3:, 3])
 
 

@@ -64,9 +64,19 @@ def test_predict_stdout(capsys):
     assert out[-1].startswith("# eta_dm=0.809625")
 
 
+def device_yaml(tmp_path, old, new):
+    """A copy of configs/device.yaml with one piece of its text replaced."""
+    text = (ROOT / "configs" / "device.yaml").read_text()
+    assert old in text
+    path = tmp_path / "device.yaml"
+    path.write_text(text.replace(old, new))
+    return path
+
+
 def test_predict_include_detectors(tmp_path, capsys):
     out = tmp_path / "rates.csv"
-    code = run(["predict", "--config", "configs/device.yaml", "--include-detectors", "--out", out])
+    path = device_yaml(tmp_path, "  n_max: 6\n", "  n_max: 6\n  include_detectors: true\n")
+    code = run(["predict", "--config", path, "--out", out])
     assert code == 0
     rc = load_config("configs/device.yaml")
     config = dataclasses.replace(rc.prediction_config(), include_detectors=True)
@@ -92,11 +102,22 @@ def test_predict_to_file(tmp_path, capsys):
 
 def test_predict_refuses_n_max_below_one_before_writing(tmp_path, capsys):
     # the CSV header used to be written before crossover_n refused n_max 0
-    assert run(["predict", "--config", "configs/device.yaml", "--n-max", "0"]) == 2
+    config = device_yaml(tmp_path, "  n_max: 6\n", "  n_max: 0\n")
+    assert run(["predict", "--config", config]) == 2
     assert capsys.readouterr().out == ""
     out = tmp_path / "rates.csv"
-    assert run(["predict", "--config", "configs/device.yaml", "--n-max", "0", "--out", out]) == 2
+    assert run(["predict", "--config", config, "--out", out]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag", [["--n-max", "6"], ["--include-detectors"]], ids=["n-max", "include-detectors"]
+)
+def test_predict_options_live_in_the_config(flag):
+    # prediction.n_max and prediction.include_detectors are the only way to set them
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["predict", "--config", "configs/device.yaml", *flag])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +277,24 @@ def test_nfold_json_is_the_counts_and_their_rate(tmp_path, simulated_stream, bri
     assert set(doc) == names | {"rate_hz", "sigma_hz"}
 
 
+def test_analyze_nfold_counts_each_target_of_a_repeating_schedule_once(tmp_path, capsys):
+    # schedule (1, 2, 1, 3) used to give "need >= 2 distinct channels, got (1, 2, 1, 3)"
+    config = tmp_path / "repeat.yaml"
+    config.write_text(BRIGHT_YAML + "schedule:\n  targets: [1, 2, 1, 3]\n")
+    stream = tmp_path / "run.tags"
+    assert run(["simulate", "--config", config, "--out", stream, "--pulses", 20_000]) == 0
+    analyze = ["analyze", "--config", config, "--stream", stream, "--which"]
+    assert run([*analyze, "nfold", "--out-dir", tmp_path / "default"]) == 0
+    assert run([*analyze, "nfold", "--channels", "1,2,3", "--out-dir", tmp_path / "given"]) == 0
+    doc = (tmp_path / "default" / "nfold_1_2_3.json").read_text()
+    assert doc == (tmp_path / "given" / "nfold_1_2_3.json").read_text()
+    assert json.loads(doc)["count"] > 0
+    # the eta-dm model takes the schedule's period for n, so it still refuses it
+    capsys.readouterr()
+    assert run([*analyze, "eta-dm", "--out-dir", tmp_path]) == 2
+    assert "need >= 2 distinct channels, got (1, 2, 1, 3)" in capsys.readouterr().err
+
+
 def test_analyze_ratios(tmp_path, simulated_stream, bright_config):
     out_dir = tmp_path / "ratios"
     code = run(
@@ -354,6 +393,24 @@ def test_exit_code_number_past_float_range(tmp_path, capsys, old, key):
     bad.write_text(BRIGHT_YAML.replace(old, f"{old.split(':')[0]}: {10**400}"))
     assert run(["predict", "--config", bad]) == 2
     assert f"{key} is too large for a float" in capsys.readouterr().err
+
+
+def test_exit_code_coupler_the_network_lacks(tmp_path, capsys):
+    config = device_yaml(tmp_path, "  sw3: {on: 0.90, off: 0.13}\n",
+                         "  sw3: {on: 0.90, off: 0.13}\n  sw4: {on: 0.5, off: 0.5}\n")
+    assert run(["predict", "--config", config]) == 2
+    assert "couplers section names ['sw4'], which the network lacks" in capsys.readouterr().err
+
+
+def test_exit_code_pump_rate_past_2_thz(tmp_path, capsys):
+    # 80 MHz written in Hz in the MHz field used to end simulate with an i/o error (exit 3)
+    config = device_yaml(tmp_path, "pump_rate_mhz: 80.0", "pump_rate_mhz: 80000000")
+    assert run(["simulate", "--config", config, "--out", tmp_path / "fast.tags"]) == 2
+    analyze = ["analyze", "--config", config, "--stream", tmp_path / "fast.tags"]
+    assert run([*analyze, "--which", "nfold", "--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("pump_rate_hz=80000000000000.0" in line for line in err)
+    assert not (tmp_path / "fast.tags").exists()
 
 
 def test_exit_code_custom_network_root_not_a_node(tmp_path, capsys):

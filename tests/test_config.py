@@ -239,10 +239,30 @@ def test_couplers_must_cover_network():
         RunConfig(doc)
     with pytest.raises(ConfigError, match="couplers section is empty"):
         RunConfig(variant(couplers={}))
+    # sw4 on a 3-switch tree used to load and enter the device digest, so two
+    # files of one device gave streams that the other refused
+    doc = variant()
+    doc["couplers"].update(sw4={"on": 0.5, "off": 0.5}, spare={"on": 0.5, "off": 0.5})
+    with pytest.raises(ConfigError, match=r"names \['sw4', 'spare'\], which the network lacks"):
+        RunConfig(doc)
     doc = variant()
     doc["couplers"]["sw1"] = {"on": 1.2, "off": 0.1}
     with pytest.raises(ConfigError, match="lie in"):
         RunConfig(doc)
+
+
+def test_pump_rate_past_2_thz_is_refused_at_load(tmp_path):
+    # a rate in Hz in the MHz field rounds to a 0 ps period; simulate used to
+    # exit 3 with the sidecar's "pulse_period_ps must be an integer >= 1, got 0"
+    doc = variant()
+    doc["emitter"]["pump_rate_mhz"] = 80_000_000
+    with pytest.raises(ConfigError, match=r"pump_rate_hz=80000000000000.0 gives a pulse period"):
+        RunConfig(doc)
+    doc["emitter"]["pump_rate_mhz"] = 2_000_000  # 2 THz: a period of 0.5 ps rounds to 0
+    with pytest.raises(ConfigError, match="below 1 ps"):
+        RunConfig(doc)
+    doc["emitter"]["pump_rate_mhz"] = 1_000_000  # 1 THz: 1 ps
+    assert RunConfig(doc).sim_config().pulse_period_ps() == 1
 
 
 def test_physical_coupler_form():

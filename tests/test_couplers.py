@@ -38,6 +38,7 @@ from conftest import (
     fractions_with_ends,
     make_bright_sim,
     path_walk,
+    same_stream,
     small_trees,
 )
 
@@ -263,7 +264,7 @@ def test_every_schedule_taker_checks_it_in_schedule_for_cycle(net4, targets, val
     if valid:
         for name, take in takers.items():
             assert take(targets) == take(PERMUTED), name
-        assert simulate(replace(base, schedule=targets)) == stream
+        assert same_stream(simulate(replace(base, schedule=targets)), stream)
         return
     for name, take in takers.items():
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """The package's public surface and its declared requirements."""
 
 import importlib
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import yaml
 
 import demuxsim
+from demuxsim import cli
 
 PUBLIC = {
     "CoincidenceHistogram", "CompatibilityError", "ConfigError", "CouplerNode",
@@ -73,6 +75,22 @@ def test_readme_config_block_loads():
     rc = demuxsim.RunConfig(yaml.safe_load(block), source="README.md")
     assert rc.sim_config().resolved_pulse_count() == 10_000_000
     assert rc.schedule == (1, 2, 3, 4)
+
+
+def test_readme_commands_parse():
+    # a flag the parser drops must leave the README's command block too
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    assert {argv[1] for argv in commands} == {"predict", "simulate", "analyze", "fit-saturation"}
+    for argv in commands:
+        assert argv[0] == "demuxsim"
+        cli.build_parser().parse_args(argv[1:])
 
 
 def test_version_matches_pyproject():

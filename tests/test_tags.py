@@ -21,6 +21,8 @@ from demuxsim import (
     write_stream,
 )
 
+from conftest import columns, same_stream
+
 PERIOD_PS = 12500  # 80 MHz
 
 
@@ -55,7 +57,7 @@ def test_binary_round_trip(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("rt") / "run.tags"
     write_stream(stream, path)
     again = read_stream(path)
-    assert again == stream
+    assert same_stream(again, stream)
 
 
 @pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")  # a header-only file has no data
@@ -66,13 +68,14 @@ def test_csv_round_trip(tmp_path_factory, events):
     write_csv(stream, path)
     # one record reads as shape (2,) and none as shape (0,), so reshape to rows
     again = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.uint64).reshape(-1, 2)
-    assert np.array_equal(again[:, 0], stream.channels)
-    assert np.array_equal(again[:, 1], stream.timestamps_ps)
+    channels, stamps, _ = columns(stream)
+    assert np.array_equal(again[:, 0], channels)
+    assert np.array_equal(again[:, 1], stamps)
 
 
 def per_record_csv(stream) -> bytes:
     """The CSV as the old writer made it, one f-string per record."""
-    rows = [f"{int(ch)},{int(ts)}\n" for ch, ts in zip(stream.channels, stream.timestamps_ps)]
+    rows = [f"{int(ch)},{int(ts)}\n" for ch, ts in zip(*columns(stream)[:2])]
     return ("channel,timestamp_ps\n" + "".join(rows)).encode()
 
 
@@ -193,7 +196,7 @@ def test_data_file_rewritten_after_read_is_refused(tmp_path):
     stream = read_stream(path)
     assert count_nfold(stream, (1, 2)).count == 2
     mtime_ns = path.stat().st_mtime_ns
-    channels, stamps = stream.channels, stream.timestamps_ps
+    channels, stamps, _ = columns(stream)
     path.write_bytes(channels[::-1].tobytes() + stamps[::-1].tobytes())
     os.utime(path, ns=(mtime_ns + 10**9, mtime_ns + 10**9))
     with pytest.raises(DataError, match="modified after it was read"):
@@ -223,7 +226,7 @@ def test_shape_validation():
 def test_derived_quantities():
     stream = make_stream([(1, 0), (2, 1), (1, 5), (4, 7)], pulse_count=800)
     assert stream.acquisition_s == pytest.approx(1e-5)
-    np.testing.assert_array_equal(stream.pulse_indices, [0, 1, 5, 7])
+    np.testing.assert_array_equal(columns(stream)[2], [0, 1, 5, 7])
     np.testing.assert_array_equal(stream.singles_counts(), [2, 1, 0, 1])
     np.testing.assert_allclose(
         stream.singles_rates_hz(), [2e5, 1e5, 0.0, 1e5]
@@ -272,18 +275,12 @@ def test_singles_count_the_last_pulse_of_the_run():
     np.testing.assert_array_equal(stream.singles_counts(), [1, 0, 1, 0])
 
 
-def test_a_stream_is_unequal_to_anything_else():
-    stream = make_stream([(1, 0)])
-    assert stream.__eq__((stream.channels, stream.timestamps_ps)) is NotImplemented
-    assert stream != "stream" and stream != 1
-
-
 def test_strided_columns_round_trip(tmp_path):
     table = np.array([[1, 0], [3, PERIOD_PS], [2, 5 * PERIOD_PS]], dtype=np.uint64)
     stream = TimeTagStream(table[:, 0], table[:, 1], make_meta())  # non-contiguous views
     path = tmp_path / "strided.tags"
     write_stream(stream, path)
-    assert read_stream(path) == stream
+    assert same_stream(read_stream(path), stream)
 
 
 def test_empty_stream(tmp_path):
@@ -292,7 +289,7 @@ def test_empty_stream(tmp_path):
     np.testing.assert_array_equal(stream.singles_counts(), [0, 0, 0, 0])
     path = tmp_path / "empty.tags"
     write_stream(stream, path)
-    assert read_stream(path) == stream
+    assert same_stream(read_stream(path), stream)
 
 
 def test_read_stream_error_paths(tmp_path):
@@ -504,4 +501,4 @@ def test_sidecar_accepts_partial_and_permuted_schedules(tmp_path):
         path = tmp_path / "run.tags"
         stream = make_stream([(1, 0)], pulse_count=0, targets=targets)
         write_stream(stream, path)
-        assert read_stream(path) == stream
+        assert same_stream(read_stream(path), stream)
