@@ -533,12 +533,13 @@ def estimate_splitting_ratios(
         bounds=[(0.0, 1.0)] * n_ratio + [(0.0, np.inf)] * len(pairs),
     )
 
-    # identifiability check at the solution
-    rank = np.linalg.matrix_rank(jacobian(np.asarray(fit.values))[:, :n_ratio], tol=1e-8)
-    if rank < n_ratio:
+    # identifiability check at the solution, over the ratios and the pair scales alike
+    rank = np.linalg.matrix_rank(jacobian(np.asarray(fit.values)))
+    if rank < len(names):
         raise EstimationError(
-            f"ratios not identifiable from pairs {pairs!r}: rank {rank} < {n_ratio}; "
-            "provide histograms for more channel pairs"
+            f"ratios not identifiable from pairs {pairs!r}: the fit's Jacobian has rank {rank} "
+            f"for {len(names)} parameters, so the schedule or the pairs cannot separate the "
+            "ratios; provide histograms for more channel pairs or schedule every output"
         )
     return fit
 

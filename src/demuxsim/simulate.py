@@ -187,8 +187,12 @@ def simulate(config: SimConfig, shards: int = 1) -> TimeTagStream:
     limits = [_raw_below(p) for p in (p1, second_photon_probability(p1, config.emitter.g2_zero))]
     survive = _raw_below(config.transmission() * config.eta_det)
     period = len(config.schedule)
-    n_out = config.network.n_outputs
-    channel_type = np.min_scalar_type(n_out - 1)  # u8 up to 256 outputs
+    channel_type = np.min_scalar_type(config.network.n_outputs - 1)  # u8 up to 256 outputs
+    # sort key offset << shift | channel - 1: u32 up to 65,536 outputs
+    shift = 8 * channel_type.itemsize
+    key_type = np.min_scalar_type((BLOCK_PULSES << shift) - 1)
+    # phases[f + offset] is the schedule bin of a block offset when the block starts in bin f
+    phases = (np.arange(BLOCK_PULSES + period) % period).astype(np.min_scalar_type(period - 1))
     cum = np.cumsum(routing_by_bin(config.network, config.schedule, config.couplers), axis=1)
     # inverse-CDF edges per output, one row per schedule bin; the last edge
     # is 1 and no uniform reaches it, so channel - 1 counts the edges passed
@@ -206,21 +210,23 @@ def simulate(config: SimConfig, shards: int = 1) -> TimeTagStream:
             for photon, col, limit in zip(hits, (0, 3), limits):
                 at = np.arange(len(u)) if limit is None else np.flatnonzero(u[:, col] < limit)
                 if survive is not None:
-                    at = at[u[at, col + 2] < survive]
-                photon.append((at + max(lo, row), u[at, col + 1] >> np.uint64(11)))
+                    at = at[u[:, col + 2][at] < survive]
+                offsets = (at + max(lo, row)).astype(key_type)
+                photon.append((offsets, u[:, col + 1][at] >> np.uint64(11)))
             del u  # one draw buffer at a time
         # the primary photon's hits, then the second's: two sorted runs of keys
-        pulse, route = map(np.concatenate, zip(*hits[0], *hits[1]))
-        key = pulse * n_out  # sort key offset * n + channel - 1
-        bins = (pulse + first) % period
+        key, route = map(np.concatenate, zip(*hits[0], *hits[1]))
+        del hits
+        bins = phases[first % period :].take(key)
+        key <<= shift  # pulse offsets to sort keys
         for edge in edges:
-            key += route >= edge[bins]
+            key += edge.take(bins) <= route
         # merge the two runs; a double hit on one channel is one click
-        key = np.sort(key, kind="stable")
+        key.sort(kind="stable")
         keep = np.ones(len(key), bool)
         keep[1:] = key[1:] != key[:-1]
-        offsets, channels = np.divmod(key[keep], n_out)
-        return first, offsets.astype(np.uint16), channels.astype(channel_type)
+        key = key[keep]
+        return first, (key >> shift).astype(np.uint16), key.astype(channel_type)
 
     cuts = np.linspace(0, config.pulse_count, shards + 1).astype(np.int64).tolist()
     pieces = [

@@ -562,6 +562,26 @@ def test_exit_code_unidentifiable_ratios(tmp_path, simulated_stream, bright_conf
     assert code == 5
 
 
+@pytest.mark.parametrize("pairs, n_params", [("first", 9), ("all", 12)])
+def test_exit_code_schedule_that_cannot_separate_the_ratios(tmp_path, capsys, pairs, n_params):
+    # output 4 is never scheduled, so the pair scales absorb what the ratios would
+    # explain, though the ratio columns alone keep full rank
+    config = tmp_path / "gap.yaml"
+    config.write_text(BRIGHT_YAML + "schedule:\n  kind: cyclic\n  targets: [1, 2, 1, 3]\n")
+    stream = tmp_path / "run.tags"
+    assert run(["simulate", "--config", config, "--out", stream]) == 0
+    capsys.readouterr()
+    code = run(
+        ["analyze", "--config", config, "--stream", stream,
+         "--which", "ratios", "--pairs", pairs, "--out-dir", tmp_path / "out"]
+    )
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "parameters, so the schedule or the pairs cannot separate" in err
+    assert f"for {n_params} parameters" in err
+    assert not (tmp_path / "out" / "splitting_ratios.json").exists()
+
+
 def test_exit_code_bad_pairs(tmp_path, simulated_stream, bright_config):
     code = run(
         ["analyze", "--config", bright_config, "--stream", simulated_stream,

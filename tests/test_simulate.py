@@ -8,7 +8,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from numpy.random import Philox, SeedSequence
 
 from demuxsim import (
     ConfigError,
@@ -18,6 +19,7 @@ from demuxsim import (
     LossBudget,
     SimConfig,
     balanced_network,
+    cascade_network,
     load_config,
     read_stream,
     routing_by_bin,
@@ -30,7 +32,14 @@ from demuxsim import (
 
 from demuxsim.simulate import BLOCK_PULSES, _CHUNK_ROWS, _raw_below, _raw_edges
 
-from conftest import TABLE_RATIOS, columns, make_bright_sim, make_device_budget, same_stream
+from conftest import (
+    TABLE_RATIOS,
+    columns,
+    make_bright_sim,
+    make_device_budget,
+    same_stream,
+    small_trees,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +458,109 @@ def test_simulated_blocks_hold_three_bytes_a_record():
         tracemalloc.stop()
     assert len(stream) > 350_000
     assert held < 3 * len(stream) + (1 << 15)
+
+
+def test_block_assembly_keeps_a_narrow_working_set(monkeypatch):
+    # keys, schedule bins and offsets are 32 bits or narrower
+    monkeypatch.setattr(importlib.import_module("demuxsim.simulate"), "_WORKERS", 1)
+    cfg = make_bright_sim(brightness=1.0, pulses=2 * BLOCK_PULSES, seed=5)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_550 << 10  # 2,127 KiB measured, plus 20%
+
+
+# ---------------------------------------------------------------------------
+# a reference for draw layout 1 on float uniforms
+# ---------------------------------------------------------------------------
+
+def reference_records(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the (channels, pulse indices) of draw layout 1, decided on float uniforms.
+
+    Block b reads the rows of Philox(SeedSequence((seed, b))).random_raw((BLOCK_PULSES, 6)),
+    row r for pulse b * BLOCK_PULSES + r, as the uniforms (raw >> 11) * 2**-53.  Columns
+    0, 1, 2 are the primary photon's emission, route and survival uniforms, and 3, 4, 5
+    the second photon's.  A photon that is emitted and survives takes output 1 + the
+    number of its bin's cumulative routing probabilities (all but the last) at or below
+    its route uniform, and two photons on one output in one pulse are one click.
+    """
+    p1 = cfg.emission_probability()
+    chances = ((0, p1), (3, second_photon_probability(p1, cfg.emitter.g2_zero)))
+    survive = cfg.transmission() * cfg.eta_det
+    cum = np.cumsum(routing_by_bin(cfg.network, cfg.schedule, cfg.couplers), axis=1)
+    n = cfg.network.n_outputs
+    clicks = [np.empty(0, np.int64)]
+    for block in range(-(-cfg.pulse_count // BLOCK_PULSES)):
+        raw = Philox(SeedSequence((cfg.rng_seed, block))).random_raw((BLOCK_PULSES, 6))
+        u = (raw >> np.uint64(11)).astype(float) * 2.0**-53
+        pulses = block * BLOCK_PULSES + np.arange(BLOCK_PULSES)
+        bins = pulses % len(cfg.schedule)
+        for col, p in chances:
+            hit = (u[:, col] < p) & (u[:, col + 2] < survive) & (pulses < cfg.pulse_count)
+            for b, row in enumerate(cum):
+                at = np.flatnonzero(hit & (bins == b))
+                channel = np.searchsorted(row[:-1], u[at, col + 1], side="right")
+                clicks.append(pulses[at] * n + channel)
+    key = np.unique(np.concatenate(clicks))  # one click per (pulse, output)
+    return key % n + 1, key // n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    network=st.one_of(small_trees, st.sampled_from([256, 257, 300]).map(cascade_network)),
+    targets=st.lists(st.integers(1, 300), min_size=1, max_size=9),
+    ratio_seed=st.integers(0, 2**32 - 1),
+    perfect=st.booleans(),
+    brightness=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.5, 1.0])),
+    g2=st.one_of(st.just(0.0), st.floats(0.0, 0.45)),
+    loss=st.one_of(st.just((1.0, 1.0)), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+    pulses=st.one_of(st.integers(0, 2 * BLOCK_PULSES), st.integers(BLOCK_PULSES, 2 * BLOCK_PULSES)),
+    shards=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    network=balanced_network(4), targets=[1, 2, 3, 4], ratio_seed=0, perfect=False,
+    brightness=1.0, g2=0.0, loss=(1.0, 1.0), pulses=2 * BLOCK_PULSES, shards=3, seed=3,
+)
+@example(
+    network=cascade_network(300), targets=[300, 1, 257, 2], ratio_seed=1, perfect=False,
+    brightness=1.0, g2=0.3, loss=(0.8, 0.9), pulses=BLOCK_PULSES + 77, shards=2, seed=29,
+)
+def test_simulate_matches_the_reference(
+    network, targets, ratio_seed, perfect, brightness, g2, loss, pulses, shards, seed
+):
+    # u8 channels up to 256 outputs and u16 past them; shard cuts fall inside blocks
+    rng = np.random.default_rng(ratio_seed)
+    shape = (len(network.coupler_ids), 2)  # (on, off) per switch, 0 and 1 alone when perfect
+    fractions = rng.integers(0, 2, shape).astype(float) if perfect else rng.uniform(size=shape)
+    cfg = replace(
+        make_bright_sim(
+            brightness=brightness,
+            pulses=pulses,
+            seed=seed,
+            targets=[(t - 1) % network.n_outputs + 1 for t in targets],
+            g2_zero=g2,
+            network=network,
+        ),
+        couplers={
+            cid: {"on": on, "off": off}
+            for cid, (on, off) in zip(network.coupler_ids, fractions.tolist())
+        },
+        budget=LossBudget.from_transmission(loss[0]),
+        eta_det=loss[1],
+    )
+    channels, _, pulse_indices = columns(simulate(cfg, shards=shards))
+    expected = reference_records(cfg)
+    assert np.array_equal(channels, expected[0])
+    assert np.array_equal(pulse_indices, expected[1])
+
+
+def test_a_lossless_brightness_one_run_records_every_pulse():
+    # p = 1 is _raw_below's None branch, which takes every draw as a hit
+    cfg = make_bright_sim(brightness=1.0, pulses=2 * BLOCK_PULSES + 99, seed=11)
+    for shards in (1, 3):
+        _, _, pulses = columns(simulate(cfg, shards=shards))
+        assert np.array_equal(pulses, np.arange(cfg.pulse_count))
